@@ -267,17 +267,37 @@ void BM_SupervisorAutoBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SupervisorAutoBatch)->Arg(256)->Unit(benchmark::kMillisecond);
 
+// Forwards to DivProcess without being one, so run() steps it through the
+// virtual Process loop instead of routing it to the one-lane batch kernel.
+class VirtualDiv final : public Process {
+ public:
+  VirtualDiv(const Graph& graph, SelectionScheme scheme)
+      : inner_(graph, scheme) {}
+  void step(OpinionState& state, Rng& rng) override { inner_.step(state, rng); }
+  std::string name() const override { return inner_.name(); }
+
+ private:
+  DivProcess inner_;
+};
+
+// How run_batch_lanes executes its B replicas.
+enum class LaneEngine {
+  kBatch,    // one B-lane run_batch sweep
+  kRun,      // B sequential run() calls on a DivProcess (one-lane kernel)
+  kVirtual,  // B sequential run() calls through the virtual Process loop
+};
+
 // Batched replica engine: B lanes of the same topology advanced in lock-step
-// over an OpinionPlane vs B sequential scalar run() calls.  A FIXED step
+// over an OpinionPlane vs B sequential run() calls, each either routed to
+// the one-lane kernel or stepped through the virtual loop.  A FIXED step
 // budget (4n scheduled steps per lane, far below the consensus time) makes
-// both sides execute the identical schedule, so items/sec -- replica-steps
+// every side execute the identical schedule, so items/sec -- replica-steps
 // per second -- compares them directly.  Seeds follow the isolated driver
 // (retry_seed(master, replica, 0)), so lane r draws the same stream and
-// touches the same cells in the same order on either side; only the
+// touches the same cells in the same order on every side; only the
 // execution strategy differs.  Initialization (opinion draws, plane
-// assignment, process construction) happens with the clock paused on both
-// sides.
-void run_batch_lanes(benchmark::State& state, bool batched) {
+// assignment, process construction) happens with the clock paused.
+void run_batch_lanes(benchmark::State& state, LaneEngine engine) {
   const auto n = static_cast<VertexId>(state.range(0));
   const auto lanes = static_cast<unsigned>(state.range(1));
   const Graph& g = shared_regular_graph(n);
@@ -291,7 +311,7 @@ void run_batch_lanes(benchmark::State& state, bool batched) {
     for (unsigned r = 0; r < lanes; ++r) {
       rngs.emplace_back(Rng::retry_seed(0xba7c, r, 0));
     }
-    if (batched) {
+    if (engine == LaneEngine::kBatch) {
       OpinionPlane plane(g, lanes);
       for (unsigned r = 0; r < lanes; ++r) {
         plane.assign_lane(r, uniform_random_opinions(n, 1, 8, rngs[r]));
@@ -308,7 +328,11 @@ void run_batch_lanes(benchmark::State& state, bool batched) {
       for (unsigned r = 0; r < lanes; ++r) {
         states.emplace_back(g, uniform_random_opinions(n, 1, 8, rngs[r]));
       }
-      DivProcess process(g, SelectionScheme::kVertex);
+      DivProcess div(g, SelectionScheme::kVertex);
+      VirtualDiv virtual_div(g, SelectionScheme::kVertex);
+      Process& process = engine == LaneEngine::kRun
+                             ? static_cast<Process&>(div)
+                             : static_cast<Process&>(virtual_div);
       state.ResumeTiming();
       for (unsigned r = 0; r < lanes; ++r) {
         scheduled += run(process, states[r], rngs[r], options).steps;
@@ -319,14 +343,21 @@ void run_batch_lanes(benchmark::State& state, bool batched) {
 }
 
 void BM_DivBatchNaiveRun(benchmark::State& state) {
-  run_batch_lanes(state, /*batched=*/false);
+  run_batch_lanes(state, LaneEngine::kRun);
 }
 BENCHMARK(BM_DivBatchNaiveRun)
     ->ArgsProduct({{1 << 10, 1 << 14, 1 << 17}, {1, 4, 16}})
     ->Unit(benchmark::kMillisecond);
 
+void BM_DivBatchVirtualRun(benchmark::State& state) {
+  run_batch_lanes(state, LaneEngine::kVirtual);
+}
+BENCHMARK(BM_DivBatchVirtualRun)
+    ->ArgsProduct({{1 << 10, 1 << 14, 1 << 17}, {1, 4, 16}})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_DivBatchRun(benchmark::State& state) {
-  run_batch_lanes(state, /*batched=*/true);
+  run_batch_lanes(state, LaneEngine::kBatch);
 }
 BENCHMARK(BM_DivBatchRun)
     ->ArgsProduct({{1 << 10, 1 << 14, 1 << 17}, {1, 4, 16}})

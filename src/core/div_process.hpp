@@ -24,6 +24,7 @@ class DivProcess final : public Process {
   void step(OpinionState& state, Rng& rng) override;
   std::string name() const override;
 
+  const Graph& graph() const { return *graph_; }
   SelectionScheme scheme() const { return scheme_; }
 
   // The single-interaction update rule, exposed for direct testing.

@@ -1,17 +1,20 @@
 // Lock-step multi-replica DIV execution over an OpinionPlane.
 //
 // run_batch() advances every lane of a plane through the SCHEDULED discrete
-// incremental voting process -- the same chain the scalar run() executes via
-// DivProcess -- one step per lane per sweep, with everything the scalar loop
-// pays per step (virtual Process dispatch, trace hook, out-of-line
-// is_satisfied / select_pair / OpinionState::set calls) inlined away, and the
-// B lanes' independent random memory accesses interleaved so the prefetcher
-// and the load queue overlap their cache misses instead of serializing them
-// replica by replica.
+// incremental voting process -- the same chain run()'s virtual Process loop
+// steps through DivProcess -- one step per lane per sweep, with everything
+// the scalar loop pays per step (virtual Process dispatch, trace hook,
+// out-of-line is_satisfied / select_pair / OpinionState::set calls) inlined
+// away, and the B lanes' independent random memory accesses interleaved so
+// the prefetcher and the load queue overlap their cache misses instead of
+// serializing them replica by replica.
 //
 // Lane-determinism contract: lane L, seeded with rng R, produces a RunResult
-// BIT-IDENTICAL to run(DivProcess, OpinionState, R') of a scalar engine
-// started from the same opinions with R' seeded identically.  Concretely:
+// BIT-IDENTICAL to the virtual Process loop stepping DivProcess on an
+// OpinionState started from the same opinions with R' seeded identically
+// (run() itself routes untraced plain DIV here at one lane, so the tests
+// pin the contract with a Process that forwards to DivProcess).
+// Concretely:
 //
 //   * each lane's rng consumes draws in the exact scalar order -- per step
 //     the vertex scheme draws uniform_below(n) then uniform_below(degree),
@@ -32,8 +35,8 @@
 // Tracing is not supported (RunOptions::trace_stride must be 0) and the
 // process is always plain DIV: faulty or otherwise decorated processes need
 // the scalar engines' virtual dispatch, which is exactly the overhead this
-// path removes.  Callers (divsim, the supervisor) fall back to run() /
-// run_jump() for those.
+// path removes.  run() and run_jump() keep their virtual loops for those;
+// an untraced plain-DIV run() comes back here as a one-lane plane.
 #pragma once
 
 #include <functional>

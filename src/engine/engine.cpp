@@ -2,15 +2,65 @@
 
 #include <chrono>
 #include <exception>
+#include <span>
+
+#include "core/div_process.hpp"
+#include "core/opinion_plane.hpp"
+#include "engine/batch_engine.hpp"
 
 namespace divlib {
 
 namespace {
 
+// Plain DIV with no per-step observer (no trace, no write log) runs through
+// run_batch at one lane; everything else needs the virtual loop below.
+const DivProcess* kernel_route(const Process& process,
+                               const OpinionState& state,
+                               const RunOptions& options) {
+  const auto* div = dynamic_cast<const DivProcess*>(&process);
+  if (div == nullptr || options.trace_stride != 0 ||
+      state.write_log_enabled() || &div->graph() != &state.graph()) {
+    return nullptr;
+  }
+  return div;
+}
+
+// Runs `state` as the single lane of a plane, then writes the lane back
+// through set() so the state keeps its initial range and every aggregate
+// reads exactly as the virtual loop would have left it.  The kernel rewinds
+// the rng to the last executed step, so the stream position matches too.
+void run_lane(const DivProcess& div, OpinionState& state, Rng& rng,
+              const RunOptions& options, RunResult& result) {
+  const Graph& graph = state.graph();
+  OpinionPlane plane(graph, 1);
+  plane.assign_lane(0, state.opinions());
+  RunMetrics* metrics = options.metrics;
+  // run() is a scalar engine to its callers: batch_lanes stays untouched.
+  const std::uint64_t batch_lanes = metrics ? metrics->batch_lanes : 0;
+  const RunResult lane =
+      run_batch(graph, div.scheme(), plane, std::span<Rng>(&rng, 1), options)
+          .front();
+  if (metrics != nullptr) {
+    metrics->batch_lanes = batch_lanes;
+  }
+  result.status = lane.status;
+  result.steps = lane.steps;
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+    const Opinion value = plane.opinion(0, v);
+    if (value != state.opinion(v)) {
+      state.set(v, value);
+    }
+  }
+}
+
 // Advances the loop, keeping result.steps current so a guarded caller can
 // report partial progress after an exception.
 void run_loop(Process& process, OpinionState& state, Rng& rng,
               const RunOptions& options, RunResult& result) {
+  if (const DivProcess* div = kernel_route(process, state, options)) {
+    run_lane(*div, state, rng, options, result);
+    return;
+  }
   process.begin_run(state);
   result.trace = Trace(options.trace_stride);
   result.trace.maybe_record(0, state);

@@ -32,11 +32,13 @@ struct RunOptions {
   std::uint64_t max_steps = 100'000'000;
   // Trace sampling stride; 0 disables tracing.
   std::uint64_t trace_stride = 0;
-  // Optional cooperative-cancellation token, polled once per scheduled
-  // iteration (a relaxed atomic load -- negligible against a step).  When it
-  // fires the loop drains at the current step boundary and reports
-  // status == kCancelled with the state exactly as the last step left it,
-  // so a checkpoint taken there resumes bit-identically.
+  // Optional cooperative-cancellation token.  The virtual loop polls it
+  // once per scheduled iteration; a plain-DIV run routed through the batch
+  // kernel polls it before the first step and then every 8 blocks of 32
+  // steps, so it drains within 256 steps of the token firing.  Either way
+  // the run stops at a step boundary and reports status == kCancelled with
+  // the state exactly as the last step left it, so a checkpoint taken there
+  // resumes bit-identically.
   const CancelToken* cancel = nullptr;
   // Optional trajectory telemetry; null disables instrumentation entirely
   // (the engines never touch it then).  See obs/run_metrics.hpp for the
@@ -84,6 +86,15 @@ struct RunResult {
 // The state is left at its stopping configuration (useful for phased runs:
 // first to two-adjacent, then on to consensus).  Exceptions thrown by the
 // process propagate.
+//
+// A DivProcess over state.graph(), untraced (trace_stride == 0) and on a
+// state without a write log, runs through run_batch over a one-lane
+// OpinionPlane, which draws and applies the identical steps without the
+// per-step virtual call, trace hook and stop call; the lane is copied back
+// into `state` afterwards.  Results, state, rng position and the
+// deterministic RunMetrics fields are the virtual loop's, bit for bit.
+// Every other process, and any traced or write-logged run, takes the
+// virtual loop.
 RunResult run(Process& process, OpinionState& state, Rng& rng,
               const RunOptions& options);
 

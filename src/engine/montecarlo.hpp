@@ -49,12 +49,14 @@ struct MonteCarloOptions {
   BatchProgress* progress = nullptr;
   // Lock-step lanes per worker claim in the batched drivers
   // (engine/batch_engine's run_div_replicas_batched and the supervisor's
-  // thread-mode batching).  1 (the default) means scalar execution; larger
-  // values run that many replicas per claim through run_batch over one SoA
-  // OpinionPlane.  Per-replica results are bit-identical either way -- each
-  // lane keeps its own retry_seed(master, replica, 0) stream -- so this is
-  // purely a throughput knob.  Ignored by the scalar drivers above; callers
-  // with faulty/decorated processes or tracing must stay on those.
+  // thread-mode batching).  1 (the default) runs one replica per claim --
+  // through the same run_batch kernel at one lane, which is also where
+  // run() sends untraced plain DIV; larger values run that many replicas
+  // per claim in lock-step over one SoA OpinionPlane.  Per-replica results
+  // are bit-identical either way -- each lane keeps its own
+  // retry_seed(master, replica, 0) stream -- so this is purely a throughput
+  // knob.  Ignored by the scalar drivers above; callers with
+  // faulty/decorated processes or tracing must stay on those.
   unsigned batch_lanes = 1;
 };
 

@@ -23,6 +23,7 @@
 #include "graph/generators.hpp"
 #include "graph/random_graphs.hpp"
 #include "stats/chi_square.hpp"
+#include "virtual_div.hpp"
 
 namespace divlib {
 namespace {
@@ -85,9 +86,10 @@ void expect_same_result(const RunResult& scalar, const RunResult& lane,
 }
 
 // The core contract: lane L of run_batch, seeded like the scalar isolated
-// driver's attempt 0, is BIT-identical to run() on its own OpinionState --
-// same result fields, same final opinion vector, and the rng streams line up
-// draw for draw (checked by comparing the next raw output after the run).
+// driver's attempt 0, is BIT-identical to run()'s virtual loop (VirtualDiv)
+// on its own OpinionState -- same result fields, same final opinion vector,
+// and the rng streams line up draw for draw (checked by comparing the next
+// raw output after the run).
 TEST(BatchEngine, LanesBitIdenticalToScalarRun) {
   Rng graph_rng(0x6a7c);
   const Graph graph = make_connected_random_regular(48, 4, graph_rng);
@@ -98,7 +100,7 @@ TEST(BatchEngine, LanesBitIdenticalToScalarRun) {
   for (const SelectionScheme scheme :
        {SelectionScheme::kVertex, SelectionScheme::kEdge}) {
     // Scalar reference replicas.
-    DivProcess process(graph, scheme);
+    VirtualDiv process(graph, scheme);
     std::vector<RunResult> scalar(kLanes);
     std::vector<std::vector<Opinion>> scalar_final(kLanes);
     std::vector<std::uint64_t> scalar_next(kLanes);
@@ -160,7 +162,7 @@ TEST(BatchEngine, WideRangeLanesMatchScalarRun) {
 
   for (const SelectionScheme scheme :
        {SelectionScheme::kVertex, SelectionScheme::kEdge}) {
-    DivProcess process(graph, scheme);
+    VirtualDiv process(graph, scheme);
     std::vector<RunResult> scalar(kLanes);
     std::vector<std::vector<Opinion>> scalar_final(kLanes);
     std::vector<std::uint64_t> scalar_next(kLanes);
@@ -212,7 +214,7 @@ TEST(BatchEngine, StepCapMatchesScalarPerLane) {
   RunOptions options;
   options.max_steps = 17;
 
-  DivProcess process(graph, SelectionScheme::kEdge);
+  VirtualDiv process(graph, SelectionScheme::kEdge);
   OpinionPlane plane(graph, kLanes);
   std::vector<Rng> rngs;
   std::vector<RunResult> scalar(kLanes);
@@ -296,7 +298,7 @@ TEST(BatchEngine, WinnerDistributionMatchesScalarEngine) {
   for (const SelectionScheme scheme :
        {SelectionScheme::kVertex, SelectionScheme::kEdge}) {
     // Scalar reference sample on one seed family.
-    DivProcess process(graph, scheme);
+    VirtualDiv process(graph, scheme);
     std::vector<std::uint64_t> scalar_winners(kHi - kLo + 1, 0);
     std::vector<double> scalar_steps;
     for (int replica = 0; replica < kReplicas; ++replica) {
@@ -352,7 +354,7 @@ TEST(BatchDriver, SlotsMatchScalarAttemptZero) {
   constexpr std::uint64_t kMaster = 0xfeed;
   RunOptions run_options;
 
-  DivProcess process(graph, SelectionScheme::kVertex);
+  VirtualDiv process(graph, SelectionScheme::kVertex);
   std::vector<RunResult> scalar(kReplicas);
   for (std::size_t replica = 0; replica < kReplicas; ++replica) {
     Rng rng(Rng::retry_seed(kMaster, replica, 0));

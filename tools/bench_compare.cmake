@@ -6,6 +6,7 @@
 #         -DCURRENT_JSON=<build-tree json> -DBASELINE_JSON=<committed json>
 #         -DDIV_BUILD_TYPE=<config> -DDIV_HOST_TUNED=<ON/OFF>
 #         [-DPERF_REPETITIONS=<n>] [-DPERF_TOLERANCE=<pct>]
+#         [-DRATIO_SLOW=<bench> -DRATIO_FAST=<bench> -DRATIO_FLOOR=<x>]
 #         -P bench_compare.cmake
 #
 # Policy:
@@ -32,6 +33,11 @@
 #     persists across back-to-back runs; a noisy-neighbor spike minutes
 #     apart does not, so the re-run squares the false-alarm probability
 #     away without loosening the threshold a real slowdown must beat.
+#   * Optional same-run ratio: with RATIO_SLOW/RATIO_FAST/RATIO_FLOOR set,
+#     the slow benchmark's min cpu_time must be at least RATIO_FLOOR times
+#     the fast one's, both timed in the same selection run.  A ratio needs
+#     no baseline, so it is checked even where none is committed, and a
+#     miss gets the same double-check as a regression.
 cmake_minimum_required(VERSION 3.24)
 
 if(NOT DEFINED PERF_TOLERANCE)
@@ -56,11 +62,24 @@ if(NOT DIV_HOST_TUNED)
     "(cmake --preset perf).")
   return()
 endif()
-if(NOT EXISTS "${BASELINE_JSON}")
-  message(STATUS
-    "no committed baseline at ${BASELINE_JSON}; gate passes vacuously. "
-    "Run the 'perf' test preset to archive one.")
-  return()
+set(CHECK_RATIO FALSE)
+if(DEFINED RATIO_SLOW OR DEFINED RATIO_FAST OR DEFINED RATIO_FLOOR)
+  if(NOT (DEFINED RATIO_SLOW AND DEFINED RATIO_FAST AND DEFINED RATIO_FLOOR))
+    message(FATAL_ERROR
+      "perf gate: RATIO_SLOW, RATIO_FAST and RATIO_FLOOR go together")
+  endif()
+  set(CHECK_RATIO TRUE)
+endif()
+if(EXISTS "${BASELINE_JSON}")
+  set(HAVE_BASELINE TRUE)
+else()
+  set(HAVE_BASELINE FALSE)
+  if(NOT CHECK_RATIO)
+    message(STATUS
+      "no committed baseline at ${BASELINE_JSON}; gate passes vacuously. "
+      "Run the 'perf' test preset to archive one.")
+    return()
+  endif()
 endif()
 
 if(NOT DEFINED PERF_MIN_TIME)
@@ -212,36 +231,101 @@ function(compare_to_baseline current_json outvar)
   set(${outvar} "${regressed}" PARENT_SCOPE)
 endfunction()
 
-load_bench_times(BASE "${BASELINE_JSON}")
-run_selection("${CURRENT_JSON}")
-compare_to_baseline("${CURRENT_JSON}" REGRESSIONS)
-
-if(NOT REGRESSIONS STREQUAL "")
-  # Double-check: re-run the selection and keep only benchmarks that are
-  # over tolerance in both runs (see the policy comment up top).
+# Checks the same-run ratio in `json` and sets ${outvar} to TRUE when the
+# slow benchmark is less than RATIO_FLOOR times the fast one.
+function(ratio_missed json outvar)
+  load_bench_times(RUN "${json}")
+  list(FIND RUN_NAMES "${RATIO_SLOW}" slow_idx)
+  list(FIND RUN_NAMES "${RATIO_FAST}" fast_idx)
+  if(slow_idx EQUAL -1 OR fast_idx EQUAL -1)
+    message(FATAL_ERROR
+      "perf gate: ratio needs ${RATIO_SLOW} and ${RATIO_FAST} in the "
+      "selection '${PERF_FILTER}'")
+  endif()
+  list(GET RUN_TIMES ${slow_idx} slow)
+  list(GET RUN_TIMES ${fast_idx} fast)
+  json_number_to_int("${RATIO_FLOOR}" floor_milli)
+  if(fast EQUAL 0)
+    message(FATAL_ERROR "perf gate: ${RATIO_FAST} cpu_time is 0")
+  endif()
+  math(EXPR ratio_milli "${slow} * 1000 / ${fast}")
+  if(ratio_milli LESS floor_milli)
+    set(verdict "BELOW FLOOR")
+    set(${outvar} TRUE PARENT_SCOPE)
+  else()
+    set(verdict "ok")
+    set(${outvar} FALSE PARENT_SCOPE)
+  endif()
   message(STATUS
-    "perf gate: ${REGRESSIONS} over tolerance -- re-running the selection "
-    "to separate a real regression from a host-load spike")
+    "  ratio ${RATIO_SLOW} / ${RATIO_FAST} = ${ratio_milli}/1000 "
+    "(floor ${RATIO_FLOOR}) ${verdict}")
+endfunction()
+
+if(HAVE_BASELINE)
+  load_bench_times(BASE "${BASELINE_JSON}")
+endif()
+run_selection("${CURRENT_JSON}")
+set(REGRESSIONS "")
+if(HAVE_BASELINE)
+  compare_to_baseline("${CURRENT_JSON}" REGRESSIONS)
+endif()
+set(RATIO_MISS FALSE)
+if(CHECK_RATIO)
+  ratio_missed("${CURRENT_JSON}" RATIO_MISS)
+endif()
+
+if(NOT REGRESSIONS STREQUAL "" OR RATIO_MISS)
+  # Double-check: re-run the selection and keep only benchmarks that are
+  # over tolerance, and a ratio that is below its floor, in both runs (see
+  # the policy comment up top).
+  set(flagged ${REGRESSIONS})
+  if(RATIO_MISS)
+    list(APPEND flagged "ratio ${RATIO_SLOW} / ${RATIO_FAST}")
+  endif()
+  message(STATUS
+    "perf gate: ${flagged} out of bounds -- re-running the selection to "
+    "separate a real regression from a host-load spike")
   run_selection("${CURRENT_JSON}.recheck")
-  compare_to_baseline("${CURRENT_JSON}.recheck" RECHECK_REGRESSIONS)
+  set(RECHECK_REGRESSIONS "")
+  if(HAVE_BASELINE)
+    compare_to_baseline("${CURRENT_JSON}.recheck" RECHECK_REGRESSIONS)
+  endif()
   set(confirmed "")
   foreach(name IN LISTS REGRESSIONS)
     if(name IN_LIST RECHECK_REGRESSIONS)
       list(APPEND confirmed "${name}")
     endif()
   endforeach()
-  if(confirmed STREQUAL "")
+  if(RATIO_MISS)
+    ratio_missed("${CURRENT_JSON}.recheck" RATIO_MISS)
+  endif()
+  if(confirmed STREQUAL "" AND NOT RATIO_MISS)
     message(STATUS
-      "perf gate: re-run came back within tolerance for every flagged "
-      "benchmark; treating the first run as host noise")
+      "perf gate: re-run came back within bounds for every flagged "
+      "check; treating the first run as host noise")
   endif()
   set(REGRESSIONS "${confirmed}")
 endif()
 
+set(FAILURES "")
+if(RATIO_MISS)
+  string(APPEND FAILURES
+    "perf gate: ${RATIO_SLOW} is less than ${RATIO_FLOOR}x ${RATIO_FAST} "
+    "in both runs of the selection.  ")
+endif()
 if(NOT REGRESSIONS STREQUAL "")
-  message(FATAL_ERROR
+  string(APPEND FAILURES
     "perf gate: benchmark(s) regressed more than ${PERF_TOLERANCE}% vs "
     "${BASELINE_JSON}: ${REGRESSIONS}.  If the slowdown is intended, "
     "re-archive the baseline with the 'perf' test preset and commit it.")
 endif()
-message(STATUS "perf gate: all benchmarks within ${PERF_TOLERANCE}% of baseline")
+if(NOT FAILURES STREQUAL "")
+  message(FATAL_ERROR "${FAILURES}")
+endif()
+if(HAVE_BASELINE)
+  message(STATUS
+    "perf gate: all benchmarks within ${PERF_TOLERANCE}% of baseline")
+endif()
+if(CHECK_RATIO)
+  message(STATUS "perf gate: ratio at or above ${RATIO_FLOOR}")
+endif()
