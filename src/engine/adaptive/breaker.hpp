@@ -5,10 +5,11 @@
 // into a fork storm: every death respawns a worker and requeues an attempt
 // with per-attempt backoff that knows nothing about its siblings.  The
 // breaker watches the global failure stream and, past a threshold inside a
-// sliding window, trips Open: in-flight width is capped to a fraction of
-// the configured worker target and every retry's backoff is widened by a
-// global multiplier.  After a cooldown with no fresh failures it probes via
-// HalfOpen -- one quiet success closes it again, one failure re-opens it.
+// sliding window, trips Open: every retry's backoff is widened by a global
+// multiplier, and the process fleet caps its worker pool to a fraction of
+// the configured target (the thread executor has no width cap).  After a
+// cooldown with no fresh failures it probes via HalfOpen -- one quiet
+// success closes it again, one failure re-opens it.
 //
 //            failures >= threshold in window
 //   Closed ----------------------------------> Open

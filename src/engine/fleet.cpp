@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <mutex>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -31,7 +29,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Parent poll cadence, matching the thread supervisor's monitor: bounds the
+// Parent poll cadence, matching the thread executor's monitor: bounds the
 // liveness-tick, deadline, and reap latency without measurable idle cost.
 constexpr std::chrono::milliseconds kFleetPoll{5};
 
@@ -184,30 +182,6 @@ void install_worker_signals() {
 // ---------------------------------------------------------------------------
 // Parent (monitor) side.
 
-enum class Phase { kQueued, kRunning, kDone, kQuarantined, kUnfinished };
-
-struct ReplicaSlot {
-  std::size_t id = 0;
-  Phase phase = Phase::kQueued;
-  unsigned base_attempt = 0;
-  unsigned next_attempt = 0;
-  unsigned current_attempt = 0;
-  unsigned consumed = 0;
-  unsigned worker_deaths = 0;  // crashes while running this replica
-};
-
-struct WorkItem {
-  Clock::time_point ready_at;
-  std::size_t slot = 0;
-  unsigned attempt = 0;
-};
-
-struct ReadyLater {
-  bool operator()(const WorkItem& a, const WorkItem& b) const {
-    return a.ready_at > b.ready_at;
-  }
-};
-
 struct Worker {
   Worker(std::int64_t id_, const LivenessOptions& liveness_options,
          Clock::time_point spawn)
@@ -248,46 +222,12 @@ class SigpipeGuard {
 
 class FleetRun {
  public:
-  FleetRun(std::span<const std::size_t> replica_ids, const SupervisedTask& task,
-           const std::function<void(std::size_t, std::string&&)>& on_success,
+  FleetRun(SupervisionPolicy& policy, const SupervisedTask& task,
            const SupervisorOptions& options)
-      : task_(task), on_success_(on_success), options_(options) {
-    slots_.reserve(replica_ids.size());
-    for (const std::size_t id : replica_ids) {
-      ReplicaSlot slot;
-      slot.id = id;
-      slots_.push_back(slot);
-    }
-    if (options_.metrics != nullptr) {
-      counter_for_[kind_index(SupervisionEvent::Kind::kRetry)] =
-          &options_.metrics->counter("supervisor_retries");
-      counter_for_[kind_index(SupervisionEvent::Kind::kFailFast)] =
-          &options_.metrics->counter("supervisor_fail_fasts");
-      counter_for_[kind_index(SupervisionEvent::Kind::kDeadlineKill)] =
-          &options_.metrics->counter("supervisor_deadline_kills");
-      counter_for_[kind_index(SupervisionEvent::Kind::kSpeculativeLaunch)] =
-          &options_.metrics->counter("supervisor_speculative_launches");
-      counter_for_[kind_index(SupervisionEvent::Kind::kSpeculativeWin)] =
-          &options_.metrics->counter("supervisor_speculative_wins");
-      counter_for_[kind_index(SupervisionEvent::Kind::kQuarantine)] =
-          &options_.metrics->counter("supervisor_quarantines");
-      counter_for_[kind_index(SupervisionEvent::Kind::kWorkerSpawn)] =
-          &options_.metrics->counter("fleet_worker_spawns");
-      counter_for_[kind_index(SupervisionEvent::Kind::kWorkerAlive)] =
-          &options_.metrics->counter("fleet_worker_alive");
-      counter_for_[kind_index(SupervisionEvent::Kind::kWorkerSuspect)] =
-          &options_.metrics->counter("fleet_worker_suspects");
-      counter_for_[kind_index(SupervisionEvent::Kind::kWorkerDead)] =
-          &options_.metrics->counter("fleet_worker_deaths");
-      counter_for_[kind_index(SupervisionEvent::Kind::kWorkerDismiss)] =
-          &options_.metrics->counter("fleet_worker_dismissals");
-      counter_for_[kind_index(SupervisionEvent::Kind::kDeadlineAdapt)] =
-          &options_.metrics->counter("supervisor_deadline_adapts");
-      counter_for_[kind_index(SupervisionEvent::Kind::kBreakerOpen)] =
-          &options_.metrics->counter("supervisor_breaker_opens");
-      counter_for_[kind_index(SupervisionEvent::Kind::kBreakerClose)] =
-          &options_.metrics->counter("supervisor_breaker_closes");
-    }
+      : policy_(policy),
+        task_(task),
+        options_(options),
+        worker_deaths_(policy.replicas(), 0) {
     // A heartbeat cadence at or above suspect_after would make every healthy
     // worker flap Alive -> Suspect between beats (and at dead_after, get
     // SIGKILLed mid-work).  Clamp loudly rather than run a fleet whose
@@ -305,32 +245,27 @@ class FleetRun {
           static_cast<long long>(fleet_.suspect_after.count()),
           static_cast<long long>(fleet_.heartbeat_interval.count()));
     }
+    policy_.set_breaker_note([this](BreakerState to) {
+      return to == BreakerState::kOpen
+                 ? "fleet pool shrinking from " + std::to_string(pool_size()) +
+                       " to " +
+                       std::to_string(policy_.breaker()->cap(target_workers_)) +
+                       " workers"
+                 : "fleet pool regrowing from " + std::to_string(pool_size()) +
+                       " toward " + std::to_string(target_workers_) +
+                       " workers";
+    });
   }
+  // The note above captures `this`; the policy outlives the executor.
+  ~FleetRun() { policy_.set_breaker_note(nullptr); }
+  FleetRun(const FleetRun&) = delete;
+  FleetRun& operator=(const FleetRun&) = delete;
 
-  SupervisorReport run() {
-    report_.replicas = slots_.size();
-    if (slots_.empty()) {
-      return std::move(report_);
-    }
-    if (options_.cancel != nullptr && options_.cancel->requested()) {
-      report_.cancelled = true;
-      report_.unfinished = slots_.size();
-      return std::move(report_);
+  void run() {
+    if (!policy_.start(Clock::now())) {
+      return;
     }
     SigpipeGuard sigpipe;
-    const auto now = Clock::now();
-    armed_deadline_ = options_.deadline;
-    if (options_.breaker_enabled) {
-      breaker_.emplace(options_.breaker, now);
-    }
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-      ReplicaSlot& state = slots_[slot];
-      const unsigned base =
-          options_.first_attempt ? options_.first_attempt(state.id) : 0;
-      state.base_attempt = base;
-      state.next_attempt = base + 1;
-      queue_.push({now, slot, base});
-    }
     target_workers_ = options_.fleet.workers != 0 ? options_.fleet.workers
                                                   : options_.num_threads;
     if (target_workers_ == 0) {
@@ -338,29 +273,13 @@ class FleetRun {
       target_workers_ = hardware > 0 ? hardware : 1;
     }
     target_workers_ = static_cast<unsigned>(
-        std::min<std::size_t>(target_workers_, slots_.size()));
+        std::min<std::size_t>(target_workers_, policy_.replicas()));
 
     monitor_loop();
     shutdown_fleet();
-    finalize_report();
-    return std::move(report_);
   }
 
  private:
-  static std::size_t kind_index(SupervisionEvent::Kind kind) {
-    return static_cast<std::size_t>(kind);
-  }
-
-  void emit(SupervisionEvent event) {
-    Counter* counter = counter_for_[kind_index(event.kind)];
-    if (counter != nullptr) {
-      counter->add();
-    }
-    if (options_.on_event) {
-      options_.on_event(event);
-    }
-  }
-
   // Publishes liveness transitions as events + report counters; annotates
   // with the worker's current assignment so operators can see what a dying
   // worker was holding.
@@ -370,7 +289,7 @@ class FleetRun {
       SupervisionEvent event;
       event.worker = worker.id;
       if (worker.busy) {
-        event.replica = slots_[worker.slot].id;
+        event.replica = policy_.state(worker.slot).id;
         event.attempt = worker.attempt;
       }
       event.detail = std::string(to_string(transition.from)) + "->" +
@@ -382,16 +301,16 @@ class FleetRun {
           break;
         case WorkerLiveness::kSuspect:
           event.kind = SupervisionEvent::Kind::kWorkerSuspect;
-          ++report_.worker_suspects;
+          ++policy_.report().worker_suspects;
           break;
         case WorkerLiveness::kDead:
           event.kind = SupervisionEvent::Kind::kWorkerDead;
-          ++report_.worker_deaths;
+          ++policy_.report().worker_deaths;
           break;
         case WorkerLiveness::kUnknown:
           continue;  // no transition enters Unknown
       }
-      emit(event);
+      policy_.emit(event);
     }
   }
 
@@ -442,13 +361,13 @@ class FleetRun {
     worker->work_fd = work_pipe[1];
     worker->result_fd = result_pipe[0];
     worker->reader = WireReader(result_pipe[0]);
-    ++report_.worker_spawns;
+    ++policy_.report().worker_spawns;
     SupervisionEvent event;
     event.kind = SupervisionEvent::Kind::kWorkerSpawn;
     event.worker = worker->id;
     event.detail = "forked pid " + std::to_string(pid);
     workers_.push_back(std::move(worker));
-    emit(event);
+    policy_.emit(event);
   }
 
   std::size_t live_worker_count() const {
@@ -485,23 +404,23 @@ class FleetRun {
       worker.work_fd = -1;
     }
     worker.quit_sent = true;
-    ++report_.worker_dismissals;
+    ++policy_.report().worker_dismissals;
     SupervisionEvent event;
     event.kind = SupervisionEvent::Kind::kWorkerDismiss;
     event.worker = worker.id;
     event.detail = "breaker open: pool shrunk to " +
-                   std::to_string(breaker_->cap(target_workers_)) + " of " +
-                   std::to_string(target_workers_) + " workers";
-    emit(event);
+                   std::to_string(policy_.breaker()->cap(target_workers_)) +
+                   " of " + std::to_string(target_workers_) + " workers";
+    policy_.emit(event);
   }
 
   void maintain_fleet(Clock::time_point now) {
-    if (cancel_seen_) {
+    if (policy_.cancelling()) {
       return;  // draining: never grow the fleet during shutdown
     }
-    const std::size_t remaining = slots_.size() - terminal_;
-    std::size_t wanted = std::min<std::size_t>(target_workers_, remaining);
-    if (breaker_.has_value()) {
+    std::size_t wanted =
+        std::min<std::size_t>(target_workers_, policy_.remaining());
+    if (const auto& breaker = policy_.breaker(); breaker.has_value()) {
       // Backpressure: while the breaker is open, the POOL ITSELF shrinks to
       // the breaker's cap -- surplus idle workers are dismissed outright,
       // not merely left unreplaced -- so a failure spike stops burning
@@ -509,8 +428,8 @@ class FleetRun {
       // Busy workers are never dismissed; if every surplus worker is busy
       // the shrink completes as their attempts drain.  When the breaker
       // closes, `wanted` recovers and the pool regrows below.
-      wanted = std::min(wanted, breaker_->cap(target_workers_));
-      if (breaker_->state() == BreakerState::kOpen) {
+      wanted = std::min(wanted, breaker->cap(target_workers_));
+      if (breaker->state() == BreakerState::kOpen) {
         for (const auto& worker : workers_) {
           if (pool_size() <= wanted) {
             break;
@@ -527,158 +446,6 @@ class FleetRun {
     }
   }
 
-  // Reports circuit-breaker transitions (HalfOpen probes stay internal).
-  void publish_breaker(const std::vector<BreakerTransition>& moved) {
-    for (const BreakerTransition& transition : moved) {
-      if (transition.to == BreakerState::kOpen) {
-        ++report_.breaker_opens;
-        emit({SupervisionEvent::Kind::kBreakerOpen, 0, 0,
-              FailureClass::kTransient, 0.0,
-              "failure spike (" +
-                  std::to_string(transition.failures_in_window) +
-                  " in window): backoff x" +
-                  std::to_string(options_.breaker.backoff_multiplier) +
-                  ", fleet pool shrinking from " +
-                  std::to_string(pool_size()) + " to " +
-                  std::to_string(breaker_->cap(target_workers_)) +
-                  " workers"});
-      } else if (transition.to == BreakerState::kClosed) {
-        ++report_.breaker_closes;
-        emit({SupervisionEvent::Kind::kBreakerClose, 0, 0,
-              FailureClass::kTransient, 0.0,
-              "quiet period: fleet pool regrowing from " +
-                  std::to_string(pool_size()) + " toward " +
-                  std::to_string(target_workers_) + " workers"});
-      }
-    }
-  }
-
-  // Re-arms the effective per-attempt deadline from the estimator; mirrors
-  // the thread supervisor's rearm (same >10% event hysteresis).
-  void rearm_deadline() {
-    if (!options_.deadline_auto || options_.estimator == nullptr) {
-      return;
-    }
-    const bool confident = options_.estimator->confident();
-    const std::chrono::milliseconds next =
-        confident ? options_.estimator->deadline(options_.deadline)
-                  : options_.deadline;
-    if (confident) {
-      report_.learned_deadline_ms = static_cast<double>(next.count());
-    }
-    const double previous = static_cast<double>(armed_deadline_.count());
-    const double current = static_cast<double>(next.count());
-    const bool edge = confident != armed_learned_;
-    const bool moved = confident && !edge && previous > 0.0 &&
-                       std::abs(current - previous) > 0.10 * previous;
-    if (confident && (edge || moved)) {
-      ++report_.deadline_adapts;
-      const EstimatorSnapshot snap = options_.estimator->stats();
-      emit({SupervisionEvent::Kind::kDeadlineAdapt, 0, 0,
-            FailureClass::kTransient, current,
-            "adaptive deadline now " + std::to_string(next.count()) + "ms (q" +
-                std::to_string(options_.estimator->options().quantile) +
-                " x safety " +
-                std::to_string(options_.estimator->options().safety_factor) +
-                ", " + std::to_string(snap.samples) + " samples)"});
-    }
-    armed_deadline_ = next;
-    armed_learned_ = confident;
-  }
-
-  void quarantine(ReplicaSlot& state, FailureClass failure,
-                  std::string message) {
-    state.phase = Phase::kQuarantined;
-    ++terminal_;
-    if (options_.progress != nullptr) {
-      options_.progress->completed.fetch_add(1, std::memory_order_relaxed);
-      options_.progress->errored.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Cumulative across resumes (base + consumed), matching thread mode, so
-    // the poison-seed dodge can pick up from a fresh stream.
-    const unsigned attempts = state.base_attempt + state.consumed;
-    emit({SupervisionEvent::Kind::kQuarantine, state.id, attempts, failure,
-          0.0, message});
-    report_.quarantined.push_back(
-        {state.id, attempts, failure, std::move(message)});
-  }
-
-  // Mirror of the thread supervisor's budget logic: consume one attempt,
-  // then retry (with jittered backoff on a fresh seed), fail fast, or
-  // quarantine.
-  void handle_failure(std::size_t slot, unsigned attempt, FailureClass failure,
-                      std::string message) {
-    ReplicaSlot& state = slots_[slot];
-    if (state.phase != Phase::kRunning || state.current_attempt != attempt) {
-      return;  // stale verdict
-    }
-    ++state.consumed;
-    if (cancel_seen_) {
-      state.phase = Phase::kUnfinished;
-      ++terminal_;
-      return;
-    }
-    if (failure == FailureClass::kDeterministic) {
-      ++report_.fail_fasts;
-      emit({SupervisionEvent::Kind::kFailFast, state.id, attempt, failure, 0.0,
-            message});
-      quarantine(state, failure, std::move(message));
-      return;
-    }
-    // Transient/resource failures (which include worker crashes until they
-    // are reclassified) are load signals for the breaker.
-    if (breaker_.has_value()) {
-      publish_breaker(breaker_->record_failure(Clock::now()));
-    }
-    if (state.next_attempt - state.base_attempt <
-        std::max(1u, options_.max_attempts)) {
-      const unsigned next = state.next_attempt++;
-      std::chrono::milliseconds delay =
-          backoff_delay(options_, state.id, next);
-      if (breaker_.has_value() && breaker_->backoff_multiplier() > 1.0) {
-        double widened =
-            static_cast<double>(delay.count()) * breaker_->backoff_multiplier();
-        if (options_.backoff_cap.count() > 0) {
-          widened = std::min(
-              widened, static_cast<double>(options_.backoff_cap.count()));
-        }
-        delay = std::chrono::milliseconds(
-            static_cast<std::int64_t>(std::llround(widened)));
-      }
-      ++report_.retries;
-      report_.backoff_wait_ms += static_cast<double>(delay.count());
-      if (options_.progress != nullptr) {
-        options_.progress->retried.fetch_add(1, std::memory_order_relaxed);
-      }
-      emit({SupervisionEvent::Kind::kRetry, state.id, next, failure,
-            static_cast<double>(delay.count()), message});
-      state.phase = Phase::kQueued;
-      queue_.push({Clock::now() + delay, slot, next});
-      return;
-    }
-    quarantine(state, failure, std::move(message));
-  }
-
-  void handle_success(std::size_t slot, unsigned attempt, double seconds,
-                      std::string&& payload) {
-    ReplicaSlot& state = slots_[slot];
-    if (state.phase != Phase::kRunning || state.current_attempt != attempt) {
-      return;
-    }
-    state.phase = Phase::kDone;
-    ++terminal_;
-    if (options_.estimator != nullptr) {
-      options_.estimator->observe(seconds);
-    }
-    if (breaker_.has_value()) {
-      publish_breaker(breaker_->record_success(Clock::now()));
-    }
-    if (options_.progress != nullptr) {
-      options_.progress->completed.fetch_add(1, std::memory_order_relaxed);
-    }
-    on_success_(state.id, std::move(payload));
-  }
-
   // One frame from a worker's result pipe.  Every frame proves the process
   // is scheduling, so all of them count as beats.
   void handle_frame(Worker& worker, const std::string& frame,
@@ -692,7 +459,7 @@ class FleetRun {
     std::size_t replica = 0;
     unsigned attempt = 0;
     header >> verb >> replica >> attempt;
-    if (!worker.busy || slots_[worker.slot].id != replica ||
+    if (!worker.busy || policy_.state(worker.slot).id != replica ||
         worker.attempt != attempt) {
       return;  // stale frame from a superseded assignment
     }
@@ -709,10 +476,11 @@ class FleetRun {
       }
     }
     if (verb == "ok") {
-      slots_[slot].worker_deaths = 0;  // the replica proved it can finish
+      worker_deaths_[slot] = 0;  // the replica proved it can finish
       const double seconds =
           std::chrono::duration<double>(now - worker.started).count();
-      handle_success(slot, attempt, seconds, frame.substr(body));
+      policy_.succeed(slot, attempt, seconds, Clock::now(), false,
+                      frame.substr(body));
       return;
     }
     if (verb == "err") {
@@ -728,30 +496,19 @@ class FleetRun {
       if (message_at != std::string::npos) {
         message = frame.substr(message_at + 1);
       }
-      handle_failure(slot, attempt, failure, std::move(message));
+      policy_.fail(slot, attempt, failure, std::move(message), Clock::now());
       return;
     }
     if (verb == "drain") {
       std::string reason;
       header >> reason;
       if (reason == to_string(CancelReason::kDeadline)) {
-        std::string detail = (armed_learned_ ? "learned deadline of "
-                                             : "wall-clock deadline of ") +
-                             std::to_string(armed_deadline_.count()) +
-                             "ms exceeded";
-        ++report_.deadline_kills;
-        emit({SupervisionEvent::Kind::kDeadlineKill, slots_[slot].id, attempt,
-              FailureClass::kTransient, 0.0, detail});
-        handle_failure(slot, attempt, FailureClass::kTransient,
-                       std::move(detail));
+        policy_.fail(slot, attempt, FailureClass::kTransient,
+                     policy_.deadline_kill(slot, attempt), Clock::now());
         return;
       }
       // Operator drain (or a task that declined): unfinished, not retried.
-      ReplicaSlot& state = slots_[slot];
-      if (state.phase == Phase::kRunning && state.current_attempt == attempt) {
-        state.phase = Phase::kUnfinished;
-        ++terminal_;
-      }
+      policy_.drain(slot, attempt);
     }
   }
 
@@ -770,13 +527,8 @@ class FleetRun {
   }
 
   void assign_work(Clock::time_point now) {
-    while (!queue_.empty() && queue_.top().ready_at <= now) {
-      const WorkItem item = queue_.top();
-      ReplicaSlot& state = slots_[item.slot];
-      if (state.phase != Phase::kQueued) {
-        queue_.pop();  // dropped by a cancel drain
-        continue;
-      }
+    for (const SupervisionPolicy::WorkItem* top = policy_.peek();
+         top != nullptr && top->ready_at <= now; top = policy_.peek()) {
       Worker* idle = nullptr;
       for (const auto& worker : workers_) {
         if (!worker->reaped && !worker->busy && !worker->quit_sent &&
@@ -788,13 +540,12 @@ class FleetRun {
       if (idle == nullptr) {
         return;  // every live worker is busy; try next poll round
       }
-      queue_.pop();
-      const std::string assignment = "work " + std::to_string(state.id) +
-                                     " " + std::to_string(item.attempt);
+      const std::string assignment =
+          "work " + std::to_string(policy_.state(top->slot).id) + " " +
+          std::to_string(top->attempt);
       if (!wire_write_frame(idle->work_fd, assignment)) {
-        // The worker died between polls; put the item back untouched (no
-        // budget consumed) and let the reap path recycle the worker.
-        queue_.push(item);
+        // The worker died between polls; leave the item queued (no budget
+        // consumed) and let the reap path recycle the worker.
         if (!idle->kill_sent) {
           ::kill(idle->pid, SIGKILL);
           idle->kill_sent = true;
@@ -802,8 +553,7 @@ class FleetRun {
         idle->quit_sent = true;  // never reuse this channel
         return;
       }
-      state.phase = Phase::kRunning;
-      state.current_attempt = item.attempt;
+      const SupervisionPolicy::WorkItem item = policy_.claim();
       idle->busy = true;
       idle->slot = item.slot;
       idle->attempt = item.attempt;
@@ -814,7 +564,8 @@ class FleetRun {
   }
 
   void enforce_deadlines(Clock::time_point now) {
-    if (armed_deadline_.count() <= 0) {
+    const std::chrono::milliseconds deadline = policy_.armed_deadline();
+    if (deadline.count() <= 0) {
       return;
     }
     for (const auto& worker : workers_) {
@@ -822,7 +573,7 @@ class FleetRun {
         continue;
       }
       if (!worker->deadline_signaled &&
-          now - worker->started >= armed_deadline_) {
+          now - worker->started >= deadline) {
         // Cooperative first: the worker's SIGUSR1 handler fires the attempt
         // token with kDeadline and the run drains at a step boundary.
         ::kill(worker->pid, SIGUSR1);
@@ -876,21 +627,16 @@ class FleetRun {
     const std::size_t slot = worker.slot;
     const unsigned attempt = worker.attempt;
     worker.busy = false;
-    ReplicaSlot& state = slots_[slot];
 
     if (worker.deadline_signaled) {
       // The deadline escalation (or the crash it provoked) ate the worker:
       // account it as a deadline kill, retryable like thread mode's.
-      std::string detail = (armed_learned_ ? "learned deadline of "
-                                           : "wall-clock deadline of ") +
-                           std::to_string(armed_deadline_.count()) +
-                           "ms exceeded; worker " + std::to_string(worker.id) +
-                           " killed";
-      ++report_.deadline_kills;
-      emit({SupervisionEvent::Kind::kDeadlineKill, state.id, attempt,
-            FailureClass::kTransient, 0.0, detail});
-      handle_failure(slot, attempt, FailureClass::kTransient,
-                     std::move(detail));
+      policy_.fail(slot, attempt, FailureClass::kTransient,
+                   policy_.deadline_kill(slot, attempt,
+                                         "; worker " +
+                                             std::to_string(worker.id) +
+                                             " killed"),
+                   Clock::now());
       return;
     }
 
@@ -907,13 +653,12 @@ class FleetRun {
     // (OOM kill, a stray bit, the scheduler) => transient, retried on a
     // fresh seed.  Repeated deaths on the SAME replica are a reproducible
     // crash => deterministic => quarantine.
-    ++state.worker_deaths;
     const FailureClass failure =
-        state.worker_deaths >=
+        ++worker_deaths_[slot] >=
                 std::max(1u, options_.fleet.max_worker_deaths_per_replica)
             ? FailureClass::kDeterministic
             : FailureClass::kTransient;
-    handle_failure(slot, attempt, failure, std::move(detail));
+    policy_.fail(slot, attempt, failure, std::move(detail), Clock::now());
   }
 
   void reap_workers(Clock::time_point now) {
@@ -930,21 +675,12 @@ class FleetRun {
   }
 
   void propagate_cancel() {
-    if (cancel_seen_ || options_.cancel == nullptr ||
+    if (policy_.cancelling() || options_.cancel == nullptr ||
         !options_.cancel->requested()) {
       return;
     }
-    cancel_seen_ = true;
     // Queued (never-started) work is unfinished for resume...
-    while (!queue_.empty()) {
-      const WorkItem item = queue_.top();
-      queue_.pop();
-      ReplicaSlot& state = slots_[item.slot];
-      if (state.phase == Phase::kQueued) {
-        state.phase = Phase::kUnfinished;
-        ++terminal_;
-      }
-    }
+    policy_.cancel();
     // ...and in-flight attempts drain cooperatively via SIGTERM.
     for (const auto& worker : workers_) {
       if (!worker->reaped) {
@@ -954,13 +690,10 @@ class FleetRun {
   }
 
   void monitor_loop() {
-    while (terminal_ < slots_.size()) {
+    while (!policy_.finished()) {
       const auto now = Clock::now();
       propagate_cancel();
-      if (breaker_.has_value()) {
-        publish_breaker(breaker_->tick(now));
-      }
-      rearm_deadline();
+      policy_.tick(now);
       maintain_fleet(now);
       assign_work(now);
 
@@ -1055,50 +788,24 @@ class FleetRun {
     }
   }
 
-  void finalize_report() {
-    for (const ReplicaSlot& state : slots_) {
-      if (state.phase == Phase::kDone) {
-        ++report_.succeeded;
-      } else if (state.phase == Phase::kUnfinished) {
-        ++report_.unfinished;
-      }
-    }
-    std::sort(report_.quarantined.begin(), report_.quarantined.end(),
-              [](const QuarantineRecord& a, const QuarantineRecord& b) {
-                return a.replica < b.replica;
-              });
-    report_.cancelled =
-        options_.cancel != nullptr && options_.cancel->requested();
-  }
-
+  SupervisionPolicy& policy_;
   const SupervisedTask& task_;
-  const std::function<void(std::size_t, std::string&&)>& on_success_;
   const SupervisorOptions& options_;
 
-  std::vector<ReplicaSlot> slots_;
-  std::priority_queue<WorkItem, std::vector<WorkItem>, ReadyLater> queue_;
+  std::vector<unsigned> worker_deaths_;  // per slot: crashes running it
   std::vector<std::unique_ptr<Worker>> workers_;
   std::int64_t next_worker_id_ = 0;
   unsigned target_workers_ = 1;
-  std::size_t terminal_ = 0;
-  bool cancel_seen_ = false;
   // Validated copy of options_.fleet (heartbeat cadence clamped against the
   // liveness thresholds); every parent/child consumer reads this one.
   FleetOptions fleet_;
-  std::chrono::milliseconds armed_deadline_{0};
-  bool armed_learned_ = false;
-  std::optional<CircuitBreaker> breaker_;
-  Counter* counter_for_[SupervisionEvent::kNumKinds] = {};
-  SupervisorReport report_;
 };
 
 }  // namespace
 
-SupervisorReport run_fleet_set(
-    std::span<const std::size_t> replica_ids, const SupervisedTask& task,
-    const std::function<void(std::size_t, std::string&&)>& on_success,
-    const SupervisorOptions& options) {
-  return FleetRun(replica_ids, task, on_success, options).run();
+void execute_on_fleet(SupervisionPolicy& policy, const SupervisedTask& task,
+                      const SupervisorOptions& options) {
+  FleetRun(policy, task, options).run();
 }
 
 }  // namespace divlib

@@ -1,6 +1,6 @@
 // Process-isolated worker fleet: the crash barrier under Isolation::kProcess.
 //
-// The thread-pool supervisor (engine/supervisor) retries exceptions, but a
+// The thread executor (engine/supervisor) retries exceptions, but a
 // replica that SIGSEGVs, smashes its stack, or aborts takes the whole
 // campaign with it -- no C++ mechanism catches a fatal signal usefully.  The
 // fleet moves each attempt behind a process boundary: the parent forks one
@@ -19,7 +19,9 @@
 // (Unknown -> Alive -> Suspect -> Dead) and publishes every transition as a
 // SupervisionEvent plus a fleet_* counter.
 //
-// Crash reclassification bridges process death into PR 5's failure taxonomy:
+// Every policy decision -- budget, backoff, quarantine, breaker, deadline
+// re-arm -- belongs to engine/supervision_policy; this file executes them.
+// Crash reclassification bridges process death into its failure taxonomy:
 // a first worker death on a replica is kTransient (re-queued through the
 // usual jittered backoff on a fresh retry_seed stream); the Nth death on the
 // SAME replica (FleetOptions::max_worker_deaths_per_replica) is
@@ -39,22 +41,16 @@
 // is ignored here -- the deadline + liveness machinery covers hung workers.
 #pragma once
 
-#include <functional>
-#include <span>
-#include <string>
-
-#include "engine/supervisor.hpp"
+#include "engine/supervision_policy.hpp"
 
 namespace divlib {
 
-// Process-isolation counterpart of run_supervised_set; same contract, same
-// report shape (plus the worker_* fleet fields).  Called automatically by
-// run_supervised_set when options.isolation == Isolation::kProcess.  The
-// calling thread becomes the fleet monitor until the batch drains; worker
-// processes never return from this call (they _exit).
-SupervisorReport run_fleet_set(
-    std::span<const std::size_t> replica_ids, const SupervisedTask& task,
-    const std::function<void(std::size_t, std::string&&)>& on_success,
-    const SupervisorOptions& options);
+// The process executor behind run_supervised_set under Isolation::kProcess:
+// drives `policy` (not yet started) until every replica is terminal, with
+// the same report shape as thread mode plus the worker_* fleet fields.  The
+// calling thread becomes the fleet monitor; worker processes never return
+// from this call (they _exit).
+void execute_on_fleet(SupervisionPolicy& policy, const SupervisedTask& task,
+                      const SupervisorOptions& options);
 
 }  // namespace divlib

@@ -1,13 +1,11 @@
 #include "engine/supervisor.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <condition_variable>
 #include <list>
 #include <mutex>
 #include <new>
 #include <optional>
-#include <queue>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -15,24 +13,10 @@
 
 #include "engine/fleet.hpp"
 #include "engine/montecarlo.hpp"
+#include "engine/supervision_policy.hpp"
 #include "obs/jsonl.hpp"
 
 namespace divlib {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-// Jitter stream salt: keeps backoff draws out of every replica stream
-// (substream/retry seeds) while staying a pure function of the master seed.
-constexpr std::uint64_t kBackoffSalt = 0xb0ff5eedULL;
-
-// Monitor poll cadence: bounds the deadline-kill and cancel-propagation
-// latency.  5ms is invisible next to a replica run but keeps the idle scan
-// (a walk over the in-flight list) essentially free.
-constexpr std::chrono::milliseconds kMonitorPoll{5};
-
-}  // namespace
 
 const char* to_string(FailureClass failure) {
   switch (failure) {
@@ -140,57 +124,14 @@ std::string SupervisionEvent::to_json() const {
   return object.str();
 }
 
-std::chrono::milliseconds backoff_delay(const SupervisorOptions& options,
-                                        std::size_t replica,
-                                        unsigned attempt) {
-  if (options.backoff_base.count() <= 0 || attempt == 0) {
-    return std::chrono::milliseconds{0};
-  }
-  // base * 2^(attempt-1), exponent clamped so the double stays finite; the
-  // cap below is what actually bounds the wait.
-  const int exponent = static_cast<int>(std::min(attempt - 1, 20u));
-  const double base = static_cast<double>(options.backoff_base.count()) *
-                      std::ldexp(1.0, exponent);
-  // Deterministic jitter: a private stream keyed by (master ^ salt, replica,
-  // attempt), so the schedule replays exactly and never perturbs any replica
-  // stream.  Uniform in [0.5x, 1.5x) -- desynchronizes retry herds while
-  // keeping the expectation at the nominal delay.
-  Rng jitter(Rng::retry_seed(options.master_seed ^ kBackoffSalt, replica,
-                             attempt));
-  double delay = base * (0.5 + jitter.uniform01());
-  if (options.backoff_cap.count() > 0) {
-    delay = std::min(delay, static_cast<double>(options.backoff_cap.count()));
-  }
-  return std::chrono::milliseconds(
-      static_cast<std::int64_t>(std::llround(delay)));
-}
-
 namespace {
 
-enum class Phase { kQueued, kRunning, kDone, kQuarantined, kUnfinished };
+using Clock = std::chrono::steady_clock;
 
-struct ReplicaState {
-  std::size_t id = 0;
-  Phase phase = Phase::kQueued;
-  unsigned base_attempt = 0;     // first seed index (poison-seed dodge)
-  unsigned next_attempt = 0;     // next fresh seed index to schedule
-  unsigned current_attempt = 0;  // seed index of the in-flight instance
-  unsigned consumed = 0;         // attempt instances that reached a failure
-  bool twin_launched = false;    // duplicate exists for the current instance
-};
-
-struct WorkItem {
-  Clock::time_point ready_at;
-  std::size_t slot = 0;
-  unsigned attempt = 0;
-  bool speculative = false;
-};
-
-struct ReadyLater {
-  bool operator()(const WorkItem& a, const WorkItem& b) const {
-    return a.ready_at > b.ready_at;  // min-heap on ready_at
-  }
-};
+// Monitor poll cadence: bounds the deadline-kill and cancel-propagation
+// latency.  5ms is invisible next to a replica run but keeps the idle scan
+// (a walk over the in-flight list) essentially free.
+constexpr std::chrono::milliseconds kMonitorPoll{5};
 
 // One in-flight execution of (slot, attempt).  At most two exist per slot:
 // the primary and a speculative duplicate on the same seed.  Lives in a
@@ -204,39 +145,17 @@ struct Execution {
   Clock::time_point started;
 };
 
+// The thread executor: a worker pool runs attempts, the calling thread is
+// the monitor, and every decision goes through the policy under mu_.
 class SupervisorRun {
  public:
-  SupervisorRun(std::span<const std::size_t> replica_ids,
-                const SupervisedTask& task,
-                const std::function<void(std::size_t, std::string&&)>&
-                    on_success,
+  SupervisorRun(SupervisionPolicy& policy, const SupervisedTask& task,
                 const SupervisorOptions& options)
-      : task_(task), on_success_(on_success), options_(options) {
-    states_.reserve(replica_ids.size());
-    for (const std::size_t id : replica_ids) {
-      ReplicaState state;
-      state.id = id;
-      states_.push_back(state);
-    }
+      : policy_(policy),
+        task_(task),
+        options_(options),
+        twin_launched_(policy.replicas(), false) {
     if (options_.metrics != nullptr) {
-      counters_[index(SupervisionEvent::Kind::kRetry)] =
-          &options_.metrics->counter("supervisor_retries");
-      counters_[index(SupervisionEvent::Kind::kFailFast)] =
-          &options_.metrics->counter("supervisor_fail_fasts");
-      counters_[index(SupervisionEvent::Kind::kDeadlineKill)] =
-          &options_.metrics->counter("supervisor_deadline_kills");
-      counters_[index(SupervisionEvent::Kind::kSpeculativeLaunch)] =
-          &options_.metrics->counter("supervisor_speculative_launches");
-      counters_[index(SupervisionEvent::Kind::kSpeculativeWin)] =
-          &options_.metrics->counter("supervisor_speculative_wins");
-      counters_[index(SupervisionEvent::Kind::kQuarantine)] =
-          &options_.metrics->counter("supervisor_quarantines");
-      counters_[index(SupervisionEvent::Kind::kDeadlineAdapt)] =
-          &options_.metrics->counter("supervisor_deadline_adapts");
-      counters_[index(SupervisionEvent::Kind::kBreakerOpen)] =
-          &options_.metrics->counter("supervisor_breaker_opens");
-      counters_[index(SupervisionEvent::Kind::kBreakerClose)] =
-          &options_.metrics->counter("supervisor_breaker_closes");
       batch_groups_counter_ =
           &options_.metrics->counter("supervisor_batch_groups");
       batched_attempts_counter_ =
@@ -244,38 +163,17 @@ class SupervisorRun {
     }
   }
 
-  SupervisorReport run() {
-    report_.replicas = states_.size();
-    if (states_.empty()) {
-      return std::move(report_);
-    }
-    if (options_.cancel != nullptr && options_.cancel->requested()) {
-      // Preset cancel: nothing starts, everything re-runs on resume --
-      // mirrors the isolated driver's claim-nothing behavior.
-      report_.cancelled = true;
-      report_.unfinished = states_.size();
-      return std::move(report_);
-    }
-    const auto now = Clock::now();
-    armed_deadline_ = options_.deadline;
-    if (options_.breaker_enabled) {
-      breaker_.emplace(options_.breaker, now);
-    }
-    for (std::size_t slot = 0; slot < states_.size(); ++slot) {
-      ReplicaState& state = states_[slot];
-      const unsigned base =
-          options_.first_attempt ? options_.first_attempt(state.id) : 0;
-      state.base_attempt = base;
-      queue_.push({now, slot, base, false});
-      state.next_attempt = base + 1;
+  void run() {
+    if (!policy_.start(Clock::now())) {
+      return;
     }
     unsigned workers = options_.num_threads;
     if (workers == 0) {
       const unsigned hardware = std::thread::hardware_concurrency();
       workers = hardware > 0 ? hardware : 1;
     }
-    workers =
-        static_cast<unsigned>(std::min<std::size_t>(workers, states_.size()));
+    workers = static_cast<unsigned>(
+        std::min<std::size_t>(workers, policy_.replicas()));
     // Workers execute attempts; the calling thread is the monitor (deadline
     // arming, straggler checks, cancel propagation) until the batch drains.
     std::vector<std::thread> pool;
@@ -287,25 +185,11 @@ class SupervisorRun {
     for (std::thread& thread : pool) {
       thread.join();
     }
-    finalize_report();
-    return std::move(report_);
   }
 
  private:
-  static std::size_t index(SupervisionEvent::Kind kind) {
-    return static_cast<std::size_t>(kind);
-  }
-
-  void emit_locked(SupervisionEvent event) {
-    Counter* counter = counters_[index(event.kind)];
-    if (counter != nullptr) {
-      counter->add();
-    }
-    if (options_.on_event) {
-      options_.on_event(event);
-    }
-  }
-
+  // A live duplicate on the same seed defers a failure or drain verdict to
+  // the survivor, so the shared attempt is never consumed twice.
   bool other_execution_live_locked(std::size_t slot) const {
     for (const Execution& execution : live_) {
       if (execution.slot == slot) {
@@ -323,169 +207,17 @@ class SupervisorRun {
     }
   }
 
-  void insert_duration_locked(double seconds) {
-    durations_.insert(
-        std::upper_bound(durations_.begin(), durations_.end(), seconds),
-        seconds);
-  }
-
-  double median_duration_locked() const {
-    return durations_[durations_.size() / 2];
-  }
-
-  // Reports circuit-breaker transitions (HalfOpen probes stay internal: the
-  // externally visible states are "backpressure on" and "backpressure off").
-  void publish_breaker_locked(const std::vector<BreakerTransition>& moved) {
-    for (const BreakerTransition& transition : moved) {
-      if (transition.to == BreakerState::kOpen) {
-        ++report_.breaker_opens;
-        emit_locked({SupervisionEvent::Kind::kBreakerOpen, 0, 0,
-                     FailureClass::kTransient, 0.0,
-                     "failure spike (" +
-                         std::to_string(transition.failures_in_window) +
-                         " in window): backoff x" +
-                         std::to_string(options_.breaker.backoff_multiplier) +
-                         ", width capped"});
-      } else if (transition.to == BreakerState::kClosed) {
-        ++report_.breaker_closes;
-        emit_locked({SupervisionEvent::Kind::kBreakerClose, 0, 0,
-                     FailureClass::kTransient, 0.0,
-                     "quiet period: full width restored"});
-      }
+  std::list<Execution>::iterator start_execution_locked(
+      const SupervisionPolicy::WorkItem& item, Clock::time_point now) {
+    if (!item.speculative) {
+      twin_launched_[item.slot] = false;
     }
-  }
-
-  // Re-arms the effective per-attempt deadline from the estimator.  The
-  // armed value drifts with every accepted sample, so kDeadlineAdapt events
-  // fire only on the confidence-gate edge or a >10% move -- a journal line
-  // per sample would be noise, not explanation.
-  void rearm_deadline_locked() {
-    if (!options_.deadline_auto || options_.estimator == nullptr) {
-      return;
-    }
-    const bool confident = options_.estimator->confident();
-    const std::chrono::milliseconds next =
-        confident ? options_.estimator->deadline(options_.deadline)
-                  : options_.deadline;
-    if (confident) {
-      report_.learned_deadline_ms = static_cast<double>(next.count());
-    }
-    const double previous = static_cast<double>(armed_deadline_.count());
-    const double current = static_cast<double>(next.count());
-    const bool edge = confident != armed_learned_;
-    const bool moved = confident && !edge && previous > 0.0 &&
-                       std::abs(current - previous) > 0.10 * previous;
-    if (confident && (edge || moved)) {
-      ++report_.deadline_adapts;
-      const EstimatorSnapshot snap = options_.estimator->stats();
-      emit_locked({SupervisionEvent::Kind::kDeadlineAdapt, 0, 0,
-                   FailureClass::kTransient, current,
-                   "adaptive deadline now " + std::to_string(next.count()) +
-                       "ms (q" +
-                       std::to_string(options_.estimator->options().quantile) +
-                       " x safety " +
-                       std::to_string(
-                           options_.estimator->options().safety_factor) +
-                       ", " + std::to_string(snap.samples) + " samples)"});
-    }
-    armed_deadline_ = next;
-    armed_learned_ = confident;
-  }
-
-  // Drops every queued item; fresh items whose slot never started become
-  // terminal kUnfinished (a resume re-runs them from their true seeds).
-  void drop_queued_locked() {
-    while (!queue_.empty()) {
-      const WorkItem item = queue_.top();
-      queue_.pop();
-      ReplicaState& state = states_[item.slot];
-      if (!item.speculative && state.phase == Phase::kQueued) {
-        state.phase = Phase::kUnfinished;
-        ++terminal_;
-      }
-    }
-  }
-
-  void quarantine_locked(ReplicaState& state, FailureClass failure,
-                         std::string message) {
-    state.phase = Phase::kQuarantined;
-    ++terminal_;
-    if (options_.progress != nullptr) {
-      options_.progress->completed.fetch_add(1, std::memory_order_relaxed);
-      options_.progress->errored.fetch_add(1, std::memory_order_relaxed);
-    }
-    // `attempts` is cumulative across resumes (base + consumed this run), so
-    // a later poison-seed dodge resumes from a fresh retry_seed stream.
-    const unsigned attempts = state.base_attempt + state.consumed;
-    emit_locked({SupervisionEvent::Kind::kQuarantine, state.id, attempts,
-                 failure, 0.0, message});
-    report_.quarantined.push_back(
-        {state.id, attempts, failure, std::move(message)});
-  }
-
-  // A failed attempt instance of `slot` reached its verdict: consume one
-  // unit of budget and decide retry / fail-fast / quarantine.
-  void handle_failure_locked(std::size_t slot, unsigned attempt,
-                             FailureClass failure, std::string message) {
-    ReplicaState& state = states_[slot];
-    if (state.phase != Phase::kRunning || state.current_attempt != attempt) {
-      return;  // stale: the instance already reached a verdict elsewhere
-    }
-    if (other_execution_live_locked(slot)) {
-      // The duplicate on the same seed is still running (say the primary hit
-      // its deadline while the twin is healthy): defer to the survivor
-      // rather than consuming the shared attempt twice.
-      return;
-    }
-    ++state.consumed;
-    state.twin_launched = false;
-    if (cancel_seen_) {
-      // Draining on operator cancel: no retries during shutdown; the resume
-      // re-runs the replica from its true seed.
-      state.phase = Phase::kUnfinished;
-      ++terminal_;
-      return;
-    }
-    if (failure == FailureClass::kDeterministic) {
-      ++report_.fail_fasts;
-      emit_locked({SupervisionEvent::Kind::kFailFast, state.id, attempt,
-                   failure, 0.0, message});
-      quarantine_locked(state, failure, std::move(message));
-      return;
-    }
-    // Transient/resource failures are load signals; a deterministic bug is
-    // not, so it never feeds the breaker.
-    if (breaker_.has_value()) {
-      publish_breaker_locked(breaker_->record_failure(Clock::now()));
-    }
-    if (state.next_attempt - state.base_attempt <
-        std::max(1u, options_.max_attempts)) {
-      const unsigned next = state.next_attempt++;
-      std::chrono::milliseconds delay =
-          backoff_delay(options_, state.id, next);
-      if (breaker_.has_value() && breaker_->backoff_multiplier() > 1.0) {
-        // Global widening while the breaker is open; the cap still rules.
-        double widened =
-            static_cast<double>(delay.count()) * breaker_->backoff_multiplier();
-        if (options_.backoff_cap.count() > 0) {
-          widened = std::min(
-              widened, static_cast<double>(options_.backoff_cap.count()));
-        }
-        delay = std::chrono::milliseconds(
-            static_cast<std::int64_t>(std::llround(widened)));
-      }
-      ++report_.retries;
-      report_.backoff_wait_ms += static_cast<double>(delay.count());
-      if (options_.progress != nullptr) {
-        options_.progress->retried.fetch_add(1, std::memory_order_relaxed);
-      }
-      emit_locked({SupervisionEvent::Kind::kRetry, state.id, next, failure,
-                   static_cast<double>(delay.count()), message});
-      state.phase = Phase::kQueued;
-      queue_.push({Clock::now() + delay, slot, next, false});
-      return;
-    }
-    quarantine_locked(state, failure, std::move(message));
+    const auto execution = live_.emplace(live_.end());
+    execution->slot = item.slot;
+    execution->attempt = item.attempt;
+    execution->speculative = item.speculative;
+    execution->started = now;
+    return execution;
   }
 
   void handle_verdict_locked(std::list<Execution>::iterator execution,
@@ -495,351 +227,239 @@ class SupervisorRun {
     const unsigned attempt = execution->attempt;
     const bool speculative = execution->speculative;
     const CancelReason reason = execution->token.reason();
+    const auto now = Clock::now();
     const double seconds =
-        std::chrono::duration<double>(Clock::now() - execution->started)
-            .count();
+        std::chrono::duration<double>(now - execution->started).count();
     live_.erase(execution);
-    ReplicaState& state = states_[slot];
-    const bool current =
-        state.phase == Phase::kRunning && state.current_attempt == attempt;
 
     if (payload.has_value()) {
-      if (!current) {
-        return;  // the duplicate already won; identical bytes, drop them
+      if (policy_.succeed(slot, attempt, seconds, now, speculative,
+                          std::move(*payload))) {
+        durations_.insert(
+            std::upper_bound(durations_.begin(), durations_.end(), seconds),
+            seconds);
+        supersede_twin_locked(slot, attempt);
       }
-      state.phase = Phase::kDone;
-      ++terminal_;
-      insert_duration_locked(seconds);
-      if (options_.estimator != nullptr) {
-        options_.estimator->observe(seconds);
-      }
-      if (breaker_.has_value()) {
-        publish_breaker_locked(breaker_->record_success(Clock::now()));
-      }
-      if (speculative) {
-        ++report_.speculative_wins;
-        emit_locked({SupervisionEvent::Kind::kSpeculativeWin, state.id,
-                     attempt, FailureClass::kTransient, 0.0, {}});
-      }
-      supersede_twin_locked(slot, attempt);
-      if (options_.progress != nullptr) {
-        options_.progress->completed.fetch_add(1, std::memory_order_relaxed);
-      }
-      on_success_(state.id, std::move(*payload));
       return;
     }
-
-    if (threw) {
-      handle_failure_locked(slot, attempt, failure, std::move(message));
-      return;
-    }
-
     // nullopt: the attempt drained on its token (or declined on its own).
-    if (reason == CancelReason::kDeadline) {
-      std::string detail =
-          (armed_learned_ ? "learned deadline of " : "wall-clock deadline of ") +
-          std::to_string(armed_deadline_.count()) + "ms exceeded";
-      ++report_.deadline_kills;
-      emit_locked({SupervisionEvent::Kind::kDeadlineKill, state.id, attempt,
-                   FailureClass::kTransient, 0.0, detail});
-      // A deadline kill is a retryable failure: the wall clock says nothing
-      // about determinism, and a fresh stream may well miss the tail.
-      handle_failure_locked(slot, attempt, FailureClass::kTransient,
-                            std::move(detail));
-      return;
-    }
-    if (reason == CancelReason::kSuperseded) {
+    const bool killed = !threw && reason == CancelReason::kDeadline;
+    if (!threw && reason == CancelReason::kSuperseded) {
       return;  // the twin won; this result is unwanted by construction
     }
-    // Operator cancel (or a task-level drain): unfinished, never retried.
-    if (current && !other_execution_live_locked(slot)) {
-      state.phase = Phase::kUnfinished;
-      ++terminal_;
+    if (killed) {
+      message = policy_.deadline_kill(slot, attempt);
+      failure = FailureClass::kTransient;
     }
+    if (other_execution_live_locked(slot)) {
+      return;
+    }
+    if (threw || killed) {
+      policy_.fail(slot, attempt, failure, std::move(message), now);
+    } else {
+      // Operator cancel (or a task-level drain): unfinished, never retried.
+      policy_.drain(slot, attempt);
+    }
+  }
+
+  // Runs one claimed attempt (or lock-step group) outside the lock and
+  // hands each verdict back to the policy.
+  void execute_locked(std::unique_lock<std::mutex>& lock,
+                      std::vector<std::list<Execution>::iterator>& group) {
+    std::vector<std::optional<std::string>> verdicts;
+    bool threw = false;
+    FailureClass failure = FailureClass::kTransient;
+    std::string message;
+    std::vector<BatchLane> lanes(group.size());
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      lanes[i].replica = policy_.state(group[i]->slot).id;
+      lanes[i].seed = Rng::retry_seed(options_.master_seed, lanes[i].replica,
+                                      group[i]->attempt);
+      lanes[i].cancel = &group[i]->token;
+    }
+    lock.unlock();
+    try {
+      if (group.size() == 1) {
+        Rng rng(lanes[0].seed);
+        verdicts.push_back(task_(lanes[0].replica, rng, group[0]->token));
+      } else {
+        verdicts = options_.batch_task(lanes);
+        if (verdicts.size() != lanes.size()) {
+          threw = true;
+          failure = FailureClass::kDeterministic;
+          message = "batch_task returned " + std::to_string(verdicts.size()) +
+                    " verdicts for " + std::to_string(lanes.size()) +
+                    " lanes";
+        }
+      }
+    } catch (const std::exception& error) {
+      threw = true;
+      message = error.what();
+      failure =
+          options_.classify ? options_.classify(error) : classify_failure(error);
+    } catch (...) {
+      threw = true;
+      message = "unknown exception";
+    }
+    if (threw) {
+      verdicts.clear();
+    }
+    verdicts.resize(group.size());
+    lock.lock();
+    // A thrown exception fails every lane of a group with one shared
+    // classification: the lanes shared the execution that died.
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      handle_verdict_locked(group[i], std::move(verdicts[i]), threw, failure,
+                            message);
+    }
+    work_cv_.notify_all();
+    monitor_cv_.notify_one();
   }
 
   void worker_loop() {
     std::unique_lock<std::mutex> lock(mu_);
     while (true) {
-      if (cancel_seen_) {
-        drop_queued_locked();
-      }
-      if (queue_.empty()) {
-        if (terminal_ == states_.size()) {
+      const SupervisionPolicy::WorkItem* top = policy_.peek();
+      if (top == nullptr) {
+        if (policy_.finished()) {
           return;
         }
         work_cv_.wait(lock);
         continue;
       }
-      const WorkItem item = queue_.top();
       const auto now = Clock::now();
-      if (item.ready_at > now) {
+      if (top->ready_at > now) {
         // Backoff without blocking a replica's worth of work would need a
         // timer wheel; with replica-scale queue depths, sleeping on the
         // earliest ready_at is equivalent and simpler.  Any earlier enqueue
         // notifies and re-sorts under us.
-        work_cv_.wait_until(lock, item.ready_at);
+        work_cv_.wait_until(lock, top->ready_at);
         continue;
       }
-      queue_.pop();
-      ReplicaState& state = states_[item.slot];
-      if (item.speculative) {
-        // Valid only while the exact instance it duplicates is still in
-        // flight; anything else is a stale launch (the instance finished,
-        // failed, or moved on to another attempt).
-        if (state.phase != Phase::kRunning ||
-            state.current_attempt != item.attempt) {
-          continue;
-        }
-      } else {
-        if (state.phase != Phase::kQueued) {
-          continue;  // dropped by a cancel drain
-        }
-        state.phase = Phase::kRunning;
-        state.current_attempt = item.attempt;
-      }
-      const auto execution = live_.emplace(live_.end());
-      execution->slot = item.slot;
-      execution->attempt = item.attempt;
-      execution->speculative = item.speculative;
-      execution->started = now;
-      const std::size_t replica = state.id;
+      const SupervisionPolicy::WorkItem item = policy_.claim();
+      std::vector<std::list<Execution>::iterator> group{
+          start_execution_locked(item, now)};
 
       // Lock-step batching: a non-speculative claim greedily absorbs up to
       // batch_lanes - 1 more ready non-speculative queued items into one
       // group for options_.batch_task.  The scan stops at the first
-      // ineligible queue top (future ready_at, speculative twin, or a slot a
-      // cancel drain already moved on) -- peeking deeper would perturb the
-      // heap for nothing, and stragglers simply form smaller groups.  A slot
-      // can appear at most once per group: claiming flips it to kRunning,
-      // and a second queued item for a kRunning slot fails the phase check.
-      std::vector<std::list<Execution>::iterator> group;
+      // ineligible queue top (future ready_at or a speculative twin) --
+      // peeking deeper would perturb the heap for nothing, and stragglers
+      // simply form smaller groups.  A slot can appear at most once per
+      // group: claiming flips it to kRunning, and peek() drops a second
+      // queued primary for a running slot.
       if (!item.speculative && options_.batch_lanes > 1 &&
           options_.batch_task) {
-        group.push_back(execution);
-        while (group.size() < options_.batch_lanes && !queue_.empty()) {
-          const WorkItem mate_item = queue_.top();
-          if (mate_item.speculative || mate_item.ready_at > now ||
-              states_[mate_item.slot].phase != Phase::kQueued) {
+        while (group.size() < options_.batch_lanes) {
+          const SupervisionPolicy::WorkItem* mate = policy_.peek();
+          if (mate == nullptr || mate->speculative || mate->ready_at > now) {
             break;
           }
-          queue_.pop();
-          ReplicaState& mate = states_[mate_item.slot];
-          mate.phase = Phase::kRunning;
-          mate.current_attempt = mate_item.attempt;
-          const auto mate_execution = live_.emplace(live_.end());
-          mate_execution->slot = mate_item.slot;
-          mate_execution->attempt = mate_item.attempt;
-          mate_execution->speculative = false;
-          mate_execution->started = now;
-          group.push_back(mate_execution);
+          group.push_back(start_execution_locked(policy_.claim(), now));
         }
       }
       if (group.size() > 1) {
-        ++report_.batch_groups;
-        report_.batched_attempts += group.size();
+        SupervisorReport& report = policy_.report();
+        ++report.batch_groups;
+        report.batched_attempts += group.size();
         if (batch_groups_counter_ != nullptr) {
           batch_groups_counter_->add();
           batched_attempts_counter_->add(
               static_cast<std::uint64_t>(group.size()));
         }
-        std::vector<BatchLane> lanes(group.size());
-        for (std::size_t i = 0; i < group.size(); ++i) {
-          lanes[i].replica = states_[group[i]->slot].id;
-          lanes[i].seed = Rng::retry_seed(options_.master_seed,
-                                          lanes[i].replica,
-                                          group[i]->attempt);
-          lanes[i].cancel = &group[i]->token;
-        }
-        lock.unlock();
+      }
+      execute_locked(lock, group);
+    }
+  }
 
-        std::vector<std::optional<std::string>> verdicts;
-        bool group_threw = false;
-        FailureClass group_failure = FailureClass::kTransient;
-        std::string group_message;
-        try {
-          verdicts = options_.batch_task(lanes);
-          if (verdicts.size() != lanes.size()) {
-            group_threw = true;
-            group_failure = FailureClass::kDeterministic;
-            group_message = "batch_task returned " +
-                            std::to_string(verdicts.size()) +
-                            " verdicts for " + std::to_string(lanes.size()) +
-                            " lanes";
-            verdicts.clear();
-          }
-        } catch (const std::exception& error) {
-          group_threw = true;
-          group_message = error.what();
-          group_failure = options_.classify ? options_.classify(error)
-                                           : classify_failure(error);
-        } catch (...) {
-          group_threw = true;
-          group_message = "unknown exception";
-          group_failure = FailureClass::kTransient;
-        }
-
-        lock.lock();
-        for (std::size_t i = 0; i < group.size(); ++i) {
-          std::optional<std::string> payload;
-          if (!group_threw) {
-            payload = std::move(verdicts[i]);
-          }
-          handle_verdict_locked(group[i], std::move(payload), group_threw,
-                                group_failure, group_message);
-        }
-        work_cv_.notify_all();
-        monitor_cv_.notify_one();
+  // Launches speculative twins for attempts past the straggler threshold.
+  void speculate_locked(Clock::time_point now) {
+    // Predictive speculation once the estimator is confident: an attempt
+    // already past the learned quantile is in the worst (1-P) tail, so its
+    // projected finish exceeds what the distribution promises -- speculate
+    // NOW instead of waiting for factor x median of this run's own
+    // (possibly sparse) durations.  Reactive median is the fallback.
+    double threshold = 0.0;
+    bool predictive = false;
+    if (options_.estimator != nullptr && options_.estimator->confident()) {
+      threshold = options_.estimator->quantile_seconds();
+      predictive = threshold > 0.0;
+    }
+    if (!predictive) {
+      if (durations_.size() <
+          std::max<std::size_t>(1, options_.straggler_warmup)) {
+        return;
+      }
+      threshold = options_.straggler_factor * durations_[durations_.size() / 2];
+    }
+    if (threshold <= 0.0) {
+      return;
+    }
+    for (Execution& execution : live_) {
+      if (execution.speculative || twin_launched_[execution.slot] ||
+          !policy_.running(execution.slot, execution.attempt) ||
+          execution.token.requested()) {
         continue;
       }
-      lock.unlock();
-
-      std::optional<std::string> payload;
-      bool threw = false;
-      FailureClass failure = FailureClass::kTransient;
-      std::string message;
-      try {
-        Rng rng(Rng::retry_seed(options_.master_seed, replica, item.attempt));
-        payload = task_(replica, rng, execution->token);
-      } catch (const std::exception& error) {
-        threw = true;
-        message = error.what();
-        failure = options_.classify ? options_.classify(error)
-                                    : classify_failure(error);
-      } catch (...) {
-        threw = true;
-        message = "unknown exception";
-        failure = FailureClass::kTransient;
+      const double elapsed =
+          std::chrono::duration<double>(now - execution.started).count();
+      if (elapsed > threshold) {
+        twin_launched_[execution.slot] = true;
+        policy_.launch_twin(
+            execution.slot, execution.attempt, now,
+            predictive
+                ? "projected finish past learned q" +
+                      std::to_string(options_.estimator->options().quantile) +
+                      " (" + std::to_string(threshold) + "s)"
+                : "elapsed exceeds " +
+                      std::to_string(options_.straggler_factor) + "x median");
+        work_cv_.notify_all();
       }
-
-      lock.lock();
-      handle_verdict_locked(execution, std::move(payload), threw, failure,
-                            std::move(message));
-      work_cv_.notify_all();
-      monitor_cv_.notify_one();
     }
   }
 
   void monitor_loop() {
     std::unique_lock<std::mutex> lock(mu_);
-    while (terminal_ != states_.size() || !live_.empty() || !queue_.empty()) {
+    while (!policy_.finished() || !live_.empty() || !policy_.queue_empty()) {
       const auto now = Clock::now();
-      if (!cancel_seen_ && options_.cancel != nullptr &&
+      if (!policy_.cancelling() && options_.cancel != nullptr &&
           options_.cancel->requested()) {
-        cancel_seen_ = true;
-        drop_queued_locked();
+        policy_.cancel();
         for (Execution& execution : live_) {
           execution.token.request(CancelReason::kUser);
         }
         work_cv_.notify_all();
       }
-      if (breaker_.has_value()) {
-        publish_breaker_locked(breaker_->tick(now));
-      }
-      rearm_deadline_locked();
-      if (armed_deadline_.count() > 0) {
+      policy_.tick(now);
+      const std::chrono::milliseconds deadline = policy_.armed_deadline();
+      if (deadline.count() > 0) {
         for (Execution& execution : live_) {
           if (!execution.token.requested() &&
-              now - execution.started >= armed_deadline_) {
+              now - execution.started >= deadline) {
             execution.token.request(CancelReason::kDeadline);
           }
         }
       }
       if (options_.straggler_factor > 0.0) {
-        // Predictive speculation once the estimator is confident: an attempt
-        // already past the learned quantile is in the worst (1-P) tail, so
-        // its projected finish exceeds what the distribution promises --
-        // speculate NOW instead of waiting for factor x median of this run's
-        // own (possibly sparse) durations.  Reactive median is the fallback.
-        double threshold = 0.0;
-        bool predictive = false;
-        if (options_.estimator != nullptr && options_.estimator->confident()) {
-          threshold = options_.estimator->quantile_seconds();
-          predictive = threshold > 0.0;
-        }
-        if (!predictive) {
-          if (durations_.size() <
-              std::max<std::size_t>(1, options_.straggler_warmup)) {
-            threshold = 0.0;
-          } else {
-            threshold = options_.straggler_factor * median_duration_locked();
-          }
-        }
-        for (Execution& execution : live_) {
-          if (threshold <= 0.0) {
-            break;
-          }
-          ReplicaState& state = states_[execution.slot];
-          if (execution.speculative || state.twin_launched ||
-              state.phase != Phase::kRunning ||
-              state.current_attempt != execution.attempt ||
-              execution.token.requested()) {
-            continue;
-          }
-          const double elapsed =
-              std::chrono::duration<double>(now - execution.started).count();
-          if (elapsed > threshold) {
-            state.twin_launched = true;
-            ++report_.speculative_launches;
-            emit_locked(
-                {SupervisionEvent::Kind::kSpeculativeLaunch, state.id,
-                 execution.attempt, FailureClass::kTransient, 0.0,
-                 predictive
-                     ? "projected finish past learned q" +
-                           std::to_string(
-                               options_.estimator->options().quantile) +
-                           " (" + std::to_string(threshold) + "s)"
-                     : "elapsed exceeds " +
-                           std::to_string(options_.straggler_factor) +
-                           "x median"});
-            queue_.push({now, execution.slot, execution.attempt, true});
-            work_cv_.notify_all();
-          }
-        }
+        speculate_locked(now);
       }
       monitor_cv_.wait_for(lock, kMonitorPoll);
     }
     work_cv_.notify_all();
   }
 
-  void finalize_report() {
-    for (const ReplicaState& state : states_) {
-      if (state.phase == Phase::kDone) {
-        ++report_.succeeded;
-      } else if (state.phase == Phase::kUnfinished) {
-        ++report_.unfinished;
-      }
-    }
-    std::sort(report_.quarantined.begin(), report_.quarantined.end(),
-              [](const QuarantineRecord& a, const QuarantineRecord& b) {
-                return a.replica < b.replica;
-              });
-    report_.cancelled =
-        options_.cancel != nullptr && options_.cancel->requested();
-  }
-
+  SupervisionPolicy& policy_;
   const SupervisedTask& task_;
-  const std::function<void(std::size_t, std::string&&)>& on_success_;
   const SupervisorOptions& options_;
 
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable monitor_cv_;
-  std::vector<ReplicaState> states_;
-  std::priority_queue<WorkItem, std::vector<WorkItem>, ReadyLater> queue_;
   std::list<Execution> live_;
+  std::vector<bool> twin_launched_;  // per slot: current instance has a twin
   std::vector<double> durations_;  // successful attempt durations, sorted
-  std::size_t terminal_ = 0;       // slots in kDone/kQuarantined/kUnfinished
-  bool cancel_seen_ = false;
-  // Effective per-attempt deadline: options_.deadline until the estimator's
-  // confidence gate opens, the learned quantile x safety after.
-  std::chrono::milliseconds armed_deadline_{0};
-  bool armed_learned_ = false;
-  std::optional<CircuitBreaker> breaker_;
-  Counter* counters_[SupervisionEvent::kNumKinds] = {};
   Counter* batch_groups_counter_ = nullptr;
   Counter* batched_attempts_counter_ = nullptr;
-  SupervisorReport report_;
 };
 
 }  // namespace
@@ -856,10 +476,13 @@ SupervisorReport run_supervised_set(
         std::to_string(kMaxBatchLanes) + "], got " +
         std::to_string(options.batch_lanes));
   }
+  SupervisionPolicy policy(replica_ids, on_success, options);
   if (options.isolation == Isolation::kProcess) {
-    return run_fleet_set(replica_ids, task, on_success, options);
+    execute_on_fleet(policy, task, options);
+  } else {
+    SupervisorRun(policy, task, options).run();
   }
-  return SupervisorRun(replica_ids, task, on_success, options).run();
+  return policy.finish();
 }
 
 }  // namespace divlib

@@ -34,7 +34,10 @@
 // an unsupervised run of retry_seed(master, replica, A) returns -- the
 // supervisor changes WHICH attempts run and WHEN, never what an attempt
 // computes.  Every supervision decision is reported as a SupervisionEvent
-// (and mirrored into a MetricsRegistry when given one).
+// (and counted in a MetricsRegistry when given one).
+//
+// The policies live once, in engine/supervision_policy; a thread executor
+// (supervisor.cpp) or a process executor (engine/fleet) drives them.
 #pragma once
 
 #include <chrono>
@@ -71,7 +74,7 @@ FailureClass parse_failure_class(std::string_view name);
 // non-std exceptions -- is transient.
 FailureClass classify_failure(const std::exception& error);
 
-// Where attempts execute.  kThread is the in-process worker pool from PR 5;
+// Where attempts execute.  kThread is an in-process worker pool;
 // kProcess forks one worker process per pool slot (engine/fleet), so a
 // crashing replica -- SIGSEGV, stack smash, unhandled bad_alloc -- kills its
 // worker, not the campaign.  Healthy replicas produce bit-identical payloads

@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) -- the integrity
-// check shared by every persisted artifact: journal record frames and the
-// snapshot v2 trailing checksum.  A deliberately boring, dependency-free
+// check shared by every persisted artifact and pipe: journal record frames
+// and wire frames.  A deliberately boring, dependency-free
 // implementation so checkpoint files remain readable by any tool that can
 // compute a standard CRC-32 (`crc32 <file>`, Python's zlib.crc32, ...).
 #pragma once

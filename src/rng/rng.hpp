@@ -124,7 +124,7 @@ class Rng {
   static std::uint64_t retry_seed(std::uint64_t master, std::uint64_t replica,
                                   std::uint64_t attempt);
 
-  // Exact stream position for checkpointing (snapshot v2): state() captures
+  // Exact stream position (the batch engine's block replay): state() captures
   // the four xoshiro256** words and set_state() resumes the stream
   // bit-identically from them.  The Marsaglia-polar cache for normal() is
   // deliberately NOT part of the captured state -- set_state() drops it, so

@@ -27,6 +27,7 @@
 #include "engine/supervisor.hpp"
 #include "io/journal.hpp"
 #include "rng/rng.hpp"
+#include "temp_path.hpp"
 
 namespace divlib {
 namespace {
@@ -36,7 +37,7 @@ using namespace std::chrono_literals;
 using Clock = CircuitBreaker::Clock;
 
 fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / name;
+  const fs::path dir = unique_temp_path(name);
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;

@@ -13,6 +13,7 @@
 #include "core/cancel.hpp"
 #include "io/atomic_file.hpp"
 #include "io/journal.hpp"
+#include "temp_path.hpp"
 
 namespace divlib {
 namespace {
@@ -29,12 +30,7 @@ std::optional<std::string> rng_payload_task(std::size_t replica, Rng& rng) {
 class CampaignTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("divlib_campaign_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
+    dir_ = test_temp_dir("divlib_campaign_test");
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

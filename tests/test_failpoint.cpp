@@ -18,6 +18,7 @@
 #include "io/atomic_file.hpp"
 #include "io/journal.hpp"
 #include "io/wire.hpp"
+#include "temp_path.hpp"
 
 namespace divlib {
 namespace {
@@ -27,12 +28,7 @@ namespace fs = std::filesystem;
 class FailpointFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("divlib_failpoint_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
+    dir_ = test_temp_dir("divlib_failpoint");
     fs::create_directories(dir_);
   }
   void TearDown() override {

@@ -34,6 +34,7 @@
 #include "engine/supervisor.hpp"
 #include "obs/metrics.hpp"
 #include "rng/rng.hpp"
+#include "temp_path.hpp"
 
 namespace divlib {
 namespace {
@@ -480,12 +481,7 @@ TEST(FleetTest, OperatorCancelLeavesQueuedWorkUnfinished) {
 class FleetCampaignTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("divlib_fleet_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
+    dir_ = test_temp_dir("divlib_fleet_test");
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

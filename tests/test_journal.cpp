@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "io/atomic_file.hpp"
+#include "temp_path.hpp"
 
 namespace divlib {
 namespace {
@@ -17,12 +18,7 @@ namespace fs = std::filesystem;
 class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("divlib_journal_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
+    dir_ = test_temp_dir("divlib_journal_test");
     fs::create_directories(dir_);
     path_ = (dir_ / "test.journal").string();
   }
@@ -145,8 +141,7 @@ TEST_F(JournalTest, MissingFileThrows) {
 }
 
 TEST(AtomicFile, WriteIsObservedWholeAndOverwrites) {
-  const fs::path dir =
-      fs::temp_directory_path() / "divlib_atomic_file_test";
+  const fs::path dir = unique_temp_path("divlib_atomic_file_test");
   fs::create_directories(dir);
   const std::string path = (dir / "target.txt").string();
   atomic_write_file(path, "first contents");
@@ -159,8 +154,7 @@ TEST(AtomicFile, WriteIsObservedWholeAndOverwrites) {
 }
 
 TEST(AtomicFile, FailureLeavesDestinationUntouched) {
-  const fs::path dir =
-      fs::temp_directory_path() / "divlib_atomic_file_fail_test";
+  const fs::path dir = unique_temp_path("divlib_atomic_file_fail_test");
   fs::create_directories(dir);
   const std::string path = (dir / "target.txt").string();
   atomic_write_file(path, "precious");

@@ -24,6 +24,7 @@
 #include "obs/jsonl.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_metrics.hpp"
+#include "temp_path.hpp"
 
 namespace divlib {
 namespace {
@@ -31,7 +32,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
+  return unique_temp_path(name).string();
 }
 
 // ---------------------------------------------------------------- Jsonl ---

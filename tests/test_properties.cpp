@@ -16,7 +16,6 @@
 #include <string>
 #include <tuple>
 
-#include "core/best_of_three.hpp"
 #include "core/best_of_two.hpp"
 #include "core/div_process.hpp"
 #include "core/faulty_process.hpp"
@@ -43,7 +42,6 @@ enum class ProcessKind {
   kMedian,
   kLoadBalance,
   kBestOfTwo,
-  kBestOfThree,
   kSteppedTwo,   // clamped increment of size 2 (DIV generalization)
   kFaultyDiv,    // DIV behind 30% message loss
 };
@@ -68,8 +66,6 @@ std::string process_kind_name(ProcessKind kind) {
       return "LoadBalance";
     case ProcessKind::kBestOfTwo:
       return "BestOfTwo";
-    case ProcessKind::kBestOfThree:
-      return "BestOfThree";
     case ProcessKind::kSteppedTwo:
       return "SteppedTwo";
     case ProcessKind::kFaultyDiv:
@@ -98,8 +94,6 @@ std::unique_ptr<Process> make_process(ProcessKind kind, const Graph& graph) {
       return std::make_unique<LoadBalancing>(graph);
     case ProcessKind::kBestOfTwo:
       return std::make_unique<BestOfTwo>(graph);
-    case ProcessKind::kBestOfThree:
-      return std::make_unique<BestOfThree>(graph);
     case ProcessKind::kSteppedTwo:
       return std::make_unique<SteppedIncrementalProcess>(
           graph, SelectionScheme::kEdge, 2);
@@ -264,7 +258,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          ProcessKind::kMedian,
                                          ProcessKind::kLoadBalance,
                                          ProcessKind::kBestOfTwo,
-                                         ProcessKind::kBestOfThree,
                                          ProcessKind::kSteppedTwo,
                                          ProcessKind::kFaultyDiv),
                        ::testing::Values(GraphKind::kComplete, GraphKind::kCycle,

@@ -15,6 +15,7 @@
 #include "io/journal.hpp"
 #include "queue/coordinator.hpp"
 #include "queue/queue_records.hpp"
+#include "temp_path.hpp"
 
 namespace divlib {
 namespace {
@@ -210,12 +211,7 @@ TEST(QueueReplayTest, IllegalTransitionsThrowNamingTheRecord) {
 class QueueServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("divlib_queue_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
+    dir_ = test_temp_dir("divlib_queue");
     fs::remove_all(dir_);
   }
   void TearDown() override {

@@ -19,6 +19,7 @@
 #include "engine/montecarlo.hpp"
 #include "io/journal.hpp"
 #include "obs/metrics.hpp"
+#include "temp_path.hpp"
 
 namespace divlib {
 namespace {
@@ -453,12 +454,7 @@ TEST(SupervisorTest, EventJsonCarriesAllFields) {
 class SupervisedCampaignTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("divlib_supervised_campaign_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
+    dir_ = test_temp_dir("divlib_supervised_campaign_test");
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
