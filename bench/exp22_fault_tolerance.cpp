@@ -334,8 +334,8 @@ int main() {
     // Baseline: an all-healthy batch through the plain isolated driver.
     std::atomic<std::size_t> done{0};
     const double healthy_ms = wall_ms_of([&] {
-      run_replica_set_isolated_erased(
-          ids,
+      run_replicas_isolated_erased(
+          ids.size(),
           [&](std::size_t, Rng& rng) {
             healthy_steps(g, rng, nullptr);
             done.fetch_add(1, std::memory_order_relaxed);
@@ -353,8 +353,8 @@ int main() {
     // The plain driver has no answer to a crawler: the batch waits it out.
     done.store(0);
     const double hostage_ms = wall_ms_of([&] {
-      run_replica_set_isolated_erased(
-          ids,
+      run_replicas_isolated_erased(
+          ids.size(),
           [&](std::size_t replica, Rng& rng) {
             healthy_steps(g, rng, nullptr);
             if (replica == kSlowReplica) {

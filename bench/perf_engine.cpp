@@ -239,8 +239,8 @@ void run_supervisor_batch(benchmark::State& state, SupervisorBench mode) {
     } else {
       const MonteCarloOptions options{.master_seed = 0xbe7c,
                                       .num_threads = 4};
-      run_replica_set_isolated_erased(
-          ids,
+      run_replicas_isolated_erased(
+          ids.size(),
           [&](std::size_t, Rng& rng) {
             total_steps.fetch_add(replica_consensus_steps(g, n, rng, nullptr),
                                   std::memory_order_relaxed);

@@ -6,18 +6,19 @@
 // wrapped values above UINT_MAX (--batch-lanes 4294967297 ran with 1 lane)
 // and silently promoted an explicit 0 to 1.  Both are caller mistakes, so
 // validate_batch_lanes refuses them loudly instead; the accepted range is
-// [1, kMaxBatchLanes] (engine/montecarlo.hpp), matching the guard
+// [1, kMaxBatchLanes] (engine/supervisor.hpp), matching the guard
 // run_supervised_set applies to SupervisorOptions::batch_lanes.
 //
-// The refusal strings for the scalar-only feature combinations live here as
-// constants so test_cli can assert the exact text users see.
+// The refusal strings for the feature combinations `divsim run` cannot
+// honor live here as constants so test_cli can assert the exact text users
+// see.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 
-#include "engine/montecarlo.hpp"
+#include "engine/supervisor.hpp"
 
 namespace divlib {
 
@@ -34,6 +35,11 @@ inline constexpr const char* kBatchLanesFaultRefusal =
 inline constexpr const char* kBatchLanesTraceRefusal =
     "--batch-lanes does not support --trace (per-step tracing is a "
     "scalar-engine feature)";
+// Fleet workers run in forked processes and send back only the journal
+// payload, so a worker's trace never reaches the parent that prints it.
+inline constexpr const char* kTraceProcessRefusal =
+    "--trace is not supported with --isolation process (worker traces "
+    "never reach the parent; use --isolation thread)";
 
 // Validates a raw --batch-lanes value BEFORE any narrowing: 0 and anything
 // above kMaxBatchLanes throw std::invalid_argument with the offending value

@@ -26,25 +26,22 @@ struct CampaignPaths {
 
 CampaignPaths campaign_paths(const CampaignOptions& options) {
   if (options.directory.empty()) {
-    throw std::runtime_error("run_campaign: checkpoint directory is required");
+    throw std::runtime_error("campaign: checkpoint directory is required");
   }
   fs::create_directories(options.directory);
   return {(fs::path(options.directory) / "campaign.meta").string(),
           (fs::path(options.directory) / "results.journal").string()};
 }
 
-// Opens or validates the campaign directory shared by both drivers: meta
-// fingerprint check, torn-tail recovery, and record loading.  Fills
-// `payloads` from payload records and -- when `quarantined` is non-null --
-// collects quarantine records keyed by replica id; a null `quarantined`
-// (the unsupervised driver) refuses a journal that holds any, because
-// silently re-running a quarantined replica could hang or poison the run.
+// Opens or validates the campaign directory: meta fingerprint check,
+// torn-tail recovery, and record loading.  Fills `payloads` from payload
+// records and `quarantined` from quarantine records, keyed by replica id.
 // Returns the number of payload records loaded (the resume count).
 std::size_t load_campaign_state(
     const CampaignOptions& options, std::size_t replicas,
     const CampaignPaths& paths,
     std::vector<std::optional<std::string>>& payloads,
-    std::map<std::size_t, QuarantineRecord>* quarantined) {
+    std::map<std::size_t, QuarantineRecord>& quarantined) {
   std::size_t resumed = 0;
   if (!fs::exists(paths.journal)) {
     atomic_write_file(paths.meta, options.meta);
@@ -52,20 +49,20 @@ std::size_t load_campaign_state(
   }
   if (!options.resume) {
     throw std::runtime_error(
-        "run_campaign: '" + options.directory +
+        "campaign: '" + options.directory +
         "' already holds a campaign journal; pass resume to continue it or "
         "use a fresh directory");
   }
   // The meta file is written atomically before the journal is created, so
   // a journal without meta means foreign or manually-damaged state.
   if (!fs::exists(paths.meta)) {
-    throw std::runtime_error("run_campaign: journal present but '" +
+    throw std::runtime_error("campaign: journal present but '" +
                              paths.meta + "' is missing");
   }
   const std::string stored_meta = read_file(paths.meta);
   if (stored_meta != options.meta) {
     throw std::runtime_error(
-        "run_campaign: configuration mismatch with the checkpoint "
+        "campaign: configuration mismatch with the checkpoint "
         "directory\n  stored:  " +
         stored_meta + "\n  current: " + options.meta);
   }
@@ -74,37 +71,25 @@ std::size_t load_campaign_state(
   const JournalRecovery recovery = recover_journal(paths.journal);
   for (const std::string& record : recovery.records) {
     if (is_supervision_record(record)) {
-      if (quarantined == nullptr) {
-        throw std::runtime_error(
-            "run_campaign: the journal holds supervision records (the "
-            "campaign needed deadline/backpressure enforcement); resume with "
-            "supervision enabled");
-      }
       // Advisory history: decisions explain the journal, they never gate
       // which replicas run.
       continue;
     }
     if (is_quarantine_record(record)) {
-      if (quarantined == nullptr) {
-        throw std::runtime_error(
-            "run_campaign: the journal holds quarantine records (a "
-            "supervised campaign excluded poison replicas); resume with "
-            "supervision enabled so they stay excluded");
-      }
       QuarantineRecord entry = decode_quarantine_record(record);
       if (entry.replica >= replicas) {
         throw std::runtime_error(
-            "run_campaign: journal quarantines replica " +
+            "campaign: journal quarantines replica " +
             std::to_string(entry.replica) + " but the campaign has only " +
             std::to_string(replicas));
       }
-      (*quarantined)[entry.replica] = std::move(entry);
+      quarantined[entry.replica] = std::move(entry);
       continue;
     }
     const auto [replica, payload] = decode_campaign_record(record);
     if (replica >= replicas) {
       throw std::runtime_error(
-          "run_campaign: journal names replica " + std::to_string(replica) +
+          "campaign: journal names replica " + std::to_string(replica) +
           " but the campaign has only " + std::to_string(replicas));
     }
     if (!payloads[replica].has_value()) {
@@ -112,13 +97,11 @@ std::size_t load_campaign_state(
     }
     payloads[replica] = payload;  // duplicates: last record wins
   }
-  if (quarantined != nullptr) {
-    // A replica with both a payload and a quarantine record (a crash between
-    // the two appends) counts as finished: the payload is the ground truth.
-    for (auto it = quarantined->begin(); it != quarantined->end();) {
-      it = payloads[it->first].has_value() ? quarantined->erase(it)
-                                           : std::next(it);
-    }
+  // A replica with both a payload and a quarantine record (a crash between
+  // the two appends) counts as finished: the payload is the ground truth.
+  for (auto it = quarantined.begin(); it != quarantined.end();) {
+    it = payloads[it->first].has_value() ? quarantined.erase(it)
+                                         : std::next(it);
   }
   return resumed;
 }
@@ -219,70 +202,6 @@ QuarantineRecord decode_quarantine_record(std::string_view record) {
   return out;
 }
 
-CampaignResult run_campaign(
-    std::size_t replicas,
-    const std::function<std::optional<std::string>(std::size_t, Rng&)>& task,
-    const CampaignOptions& options) {
-  const CampaignPaths paths = campaign_paths(options);
-  CampaignResult result;
-  result.payloads.resize(replicas);
-  result.resumed = load_campaign_state(options, replicas, paths,
-                                       result.payloads, nullptr);
-
-  std::vector<std::size_t> pending;
-  pending.reserve(replicas - result.resumed);
-  for (std::size_t replica = 0; replica < replicas; ++replica) {
-    if (!result.payloads[replica].has_value()) {
-      pending.push_back(replica);
-    }
-  }
-
-  JournalWriter writer(paths.journal);
-  std::mutex journal_mutex;
-  std::uint64_t unflushed = 0;
-  const std::uint64_t flush_every = std::max<std::uint64_t>(1, options.flush_every);
-
-  if (options.mc.progress != nullptr) {
-    options.mc.progress->total.store(replicas, std::memory_order_relaxed);
-    options.mc.progress->resumed.store(result.resumed,
-                                       std::memory_order_relaxed);
-  }
-
-  result.report = run_replica_set_isolated_erased(
-      pending,
-      [&](std::size_t replica, Rng& rng) {
-        // Task exceptions fly through to the isolated driver's retry logic;
-        // only a finished replica touches the journal.
-        std::optional<std::string> payload = task(replica, rng);
-        if (!payload.has_value()) {
-          return;  // cancelled drain: not finished, re-runs on resume
-        }
-        const std::lock_guard<std::mutex> lock(journal_mutex);
-        writer.append(encode_campaign_record(replica, *payload));
-        if (++unflushed >= flush_every) {
-          writer.flush();
-          if (options.heartbeat != nullptr) {
-            options.heartbeat->beat("flush");
-          }
-          unflushed = 0;
-        }
-        result.payloads[replica] = std::move(*payload);
-        ++result.ran;
-      },
-      options.mc);
-  writer.flush();
-  if (options.heartbeat != nullptr) {
-    options.heartbeat->beat("flush");
-  }
-
-  // The driver now reads cancellation straight off the token, so no
-  // workaround for the fires-after-last-claim race is needed here; just
-  // narrow it to "cancelled AND unfinished" (a complete campaign has
-  // nothing left to resume).
-  result.cancelled = result.report.cancelled && !result.complete();
-  return result;
-}
-
 SupervisedCampaignResult run_supervised_campaign(
     std::size_t replicas, const SupervisedTask& task,
     const CampaignOptions& options, const SupervisorOptions& supervision) {
@@ -291,7 +210,7 @@ SupervisedCampaignResult run_supervised_campaign(
   result.payloads.resize(replicas);
   std::map<std::size_t, QuarantineRecord> quarantined;
   result.resumed = load_campaign_state(options, replicas, paths,
-                                       result.payloads, &quarantined);
+                                       result.payloads, quarantined);
 
   // The poison-seed dodge: re-admit journal-quarantined replicas, but start
   // each one at the attempt index after its record consumed, so the retry

@@ -19,18 +19,15 @@
 // bit-identical to an uninterrupted run -- interruption is invisible in the
 // data.
 //
-// Cancellation composes: when MonteCarloOptions::cancel fires, workers stop
-// claiming replicas and in-flight ones drain (pass the same token through
-// RunOptions::cancel so they drain at a step boundary); a drained replica
-// whose task returns nullopt is NOT journaled and re-runs on resume.
-// A SUPERVISED campaign (run_supervised_campaign) adds the policy layer from
-// engine/supervisor.hpp on top of the same directory format: poison replicas
-// that exhaust their attempt budget are written as quarantine records
-// ("quarantine <id> <class> <attempts> <message>") so a resume SKIPS them
-// instead of re-poisoning the run, and the campaign completes in a graded
-// CampaignStatus -- kDegraded when the success quorum holds, kFailed when it
-// does not.  Unsupervised resumes refuse a journal holding quarantine
-// records (silently re-running a quarantined replica could hang forever).
+// Campaigns run under the policy layer from engine/supervisor.hpp
+// (run_supervised_campaign): poison replicas that exhaust their attempt
+// budget are written as quarantine records ("quarantine <id> <class>
+// <attempts> <message>") so a resume SKIPS them instead of re-poisoning the
+// run, and the campaign completes in a graded CampaignStatus -- kDegraded
+// when the success quorum holds, kFailed when it does not.  Cancellation
+// composes: when SupervisorOptions::cancel fires, queued replicas stay
+// unclaimed and in-flight ones drain on their lease tokens; a drained
+// replica whose task returns nullopt is NOT journaled and re-runs on resume.
 #pragma once
 
 #include <cstdint>
@@ -58,14 +55,15 @@ struct CampaignOptions {
   // run; a resume whose meta differs throws -- resuming under a different
   // configuration would corrupt the merged results.
   std::string meta;
+  // Unused: no library code reads it.  Seeds, threads, cancellation and
+  // progress come from the SupervisorOptions passed alongside.
   MonteCarloOptions mc;
-  // Optional heartbeat: run_campaign() beats it with reason "flush" after
+  // Optional heartbeat: the campaign beats it with reason "flush" after
   // every journal flush (including the final one), so the telemetry stream
   // always carries a progress record at least as fresh as the last durable
-  // replica.  When mc.progress is also set, the driver seeds its `total`
-  // and `resumed` counters before any replica runs.  Null disables both.
+  // replica.
   Heartbeat* heartbeat = nullptr;
-  // Supervised resumes only: re-admit journal-quarantined replicas with the
+  // Resumes only: re-admit journal-quarantined replicas with the
   // poison-seed dodge -- each re-admitted replica starts at the attempt
   // index AFTER the ones its quarantine record consumed, so the retry runs
   // on fresh Rng::retry_seed streams instead of replaying the seeds that
@@ -73,32 +71,6 @@ struct CampaignOptions {
   // re-quarantined with an updated (cumulative) attempt count.
   bool retry_quarantined = false;
 };
-
-struct CampaignResult {
-  // One slot per replica: the journaled payload, or nullopt when the replica
-  // did not finish (cancelled before/while running, or persistently failed).
-  std::vector<std::optional<std::string>> payloads;
-  std::size_t resumed = 0;  // finished replicas loaded from the journal
-  std::size_t ran = 0;      // replicas executed and journaled this session
-  // The cancel token fired AND work remains: resume to finish the rest.  A
-  // token that fires only after the final replica drained leaves the
-  // campaign complete, so there is nothing to cancel (report.cancelled still
-  // records that the token fired).
-  bool cancelled = false;
-  BatchReport report;       // errors/retries among replicas run this session
-  bool complete() const { return resumed + ran == payloads.size(); }
-};
-
-// Runs replicas [0, replicas), journaling each finished replica's payload.
-// `task` returns the payload to persist, or nullopt to mark the replica
-// unfinished (the convention for a cancelled drain).  Task exceptions are
-// handled by the isolated driver's retry machinery and, when persistent,
-// end up in report.errors with no journal record.  Throws
-// std::runtime_error on directory/journal failures or a meta mismatch.
-CampaignResult run_campaign(
-    std::size_t replicas,
-    const std::function<std::optional<std::string>(std::size_t, Rng&)>& task,
-    const CampaignOptions& options);
 
 // Journal payload helpers shared by the driver and tools: records are
 // "<replica-id> <payload-bytes>" with the id in decimal.
@@ -119,9 +91,8 @@ enum class CampaignStatus {
 const char* to_string(CampaignStatus status);
 
 // Quarantine journal records.  They share the results.journal framing but
-// carry a non-numeric "quarantine" prefix, so pre-supervision readers fail
-// loudly (decode_campaign_record throws) instead of misreading one as a
-// payload.
+// carry a non-numeric "quarantine" prefix, so a payload reader fails
+// loudly (decode_campaign_record throws) instead of misreading one.
 std::string encode_quarantine_record(const QuarantineRecord& record);
 bool is_quarantine_record(std::string_view record);
 // Throws std::invalid_argument on a malformed record.
@@ -132,9 +103,7 @@ QuarantineRecord decode_quarantine_record(std::string_view record);
 // circuit-breaker trips next to the results they shaped, so `divsim journal
 // --json` can explain every kill after the fact.  The payload is the
 // event's to_json() verbatim.  Like quarantine records, the non-numeric
-// prefix makes pre-supervision readers fail loudly; an unsupervised resume
-// refuses a journal holding them (the campaign evidently needed deadline
-// enforcement to finish).
+// prefix makes a payload reader fail loudly.
 std::string encode_supervision_record(const SupervisionEvent& event);
 bool is_supervision_record(std::string_view record);
 // Returns the event JSON carried by the record (no re-parse; emitters embed
@@ -155,13 +124,15 @@ struct SupervisedCampaignResult {
   bool complete() const { return resumed + ran == payloads.size(); }
 };
 
-// Supervised analogue of run_campaign(): runs the replicas missing from the
-// journal (skipping quarantined ids) under run_supervised_set.  Seeds,
-// thread count, cancellation, and progress come from `supervision`, NOT
-// from options.mc; directory/meta/flush/heartbeat semantics are identical
-// to run_campaign.  Quarantine records are flushed to the journal the
-// moment they happen, so even a SIGKILLed degraded campaign resumes without
-// re-running its poison replicas.
+// Runs the replicas missing from the journal (skipping quarantined ids)
+// under run_supervised_set, journaling each winning payload.  Seeds, thread
+// count, cancellation, and progress come from `supervision`; when
+// supervision.progress is set, its `total` and `resumed` counters are
+// seeded before any replica runs.  Quarantine records are flushed to the
+// journal the moment they happen, so even a SIGKILLed degraded campaign
+// resumes without re-running its poison replicas.  Throws
+// std::runtime_error on directory/journal failures, an existing journal
+// without options.resume, or a meta mismatch.
 SupervisedCampaignResult run_supervised_campaign(
     std::size_t replicas, const SupervisedTask& task,
     const CampaignOptions& options, const SupervisorOptions& supervision);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
-#include <numeric>
 #include <thread>
 
 namespace divlib {
@@ -94,18 +93,17 @@ void run_replicas_erased(std::size_t replicas,
   }
 }
 
-BatchReport run_replica_set_isolated_erased(
-    std::span<const std::size_t> replica_ids,
-    const std::function<void(std::size_t, Rng&)>& task,
+BatchReport run_replicas_isolated_erased(
+    std::size_t replicas, const std::function<void(std::size_t, Rng&)>& task,
     const MonteCarloOptions& options) {
   BatchReport report;
-  report.replicas = replica_ids.size();
-  if (replica_ids.empty()) {
+  report.replicas = replicas;
+  if (replicas == 0) {
     return report;
   }
   const unsigned requested = resolve_thread_count(options);
   const auto workers =
-      static_cast<unsigned>(std::min<std::size_t>(requested, replica_ids.size()));
+      static_cast<unsigned>(std::min<std::size_t>(requested, replicas));
   const unsigned max_attempts = std::max(1u, options.max_attempts);
 
   std::atomic<std::size_t> next{0};
@@ -122,11 +120,10 @@ BatchReport run_replica_set_isolated_erased(
       if (options.cancel != nullptr && options.cancel->requested()) {
         return;
       }
-      const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
-      if (slot >= replica_ids.size()) {
+      const std::size_t replica = next.fetch_add(1, std::memory_order_relaxed);
+      if (replica >= replicas) {
         return;
       }
-      const std::size_t replica = replica_ids[slot];
       std::string last_message = "unknown exception";
       bool succeeded = false;
       unsigned consumed = 0;
@@ -179,14 +176,6 @@ BatchReport run_replica_set_isolated_erased(
   // (every replica still drains, yet the user DID cancel).
   report.cancelled = options.cancel != nullptr && options.cancel->requested();
   return report;
-}
-
-BatchReport run_replicas_isolated_erased(
-    std::size_t replicas, const std::function<void(std::size_t, Rng&)>& task,
-    const MonteCarloOptions& options) {
-  std::vector<std::size_t> ids(replicas);
-  std::iota(ids.begin(), ids.end(), std::size_t{0});
-  return run_replica_set_isolated_erased(ids, task, options);
 }
 
 }  // namespace divlib

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -47,26 +46,7 @@ struct MonteCarloOptions {
   // NOT set `total` or `resumed` -- the caller knows the batch shape.  Null
   // disables the updates entirely.
   BatchProgress* progress = nullptr;
-  // Lock-step lanes per worker claim in the batched drivers
-  // (engine/batch_engine's run_div_replicas_batched and the supervisor's
-  // thread-mode batching).  1 (the default) runs one replica per claim --
-  // through the same run_batch kernel at one lane, which is also where
-  // run() sends untraced plain DIV; larger values run that many replicas
-  // per claim in lock-step over one SoA OpinionPlane.  Per-replica results
-  // are bit-identical either way -- each lane keeps its own
-  // retry_seed(master, replica, 0) stream -- so this is purely a throughput
-  // knob.  Ignored by the scalar drivers above; callers with
-  // faulty/decorated processes or tracing must stay on those.
-  unsigned batch_lanes = 1;
 };
-
-// Upper bound on batch_lanes accepted anywhere a lane count enters the
-// system (divsim's --batch-lanes, SupervisorOptions::batch_lanes).  A lane
-// costs O(n) plane cells plus per-lane scratch; beyond a few thousand lanes
-// the SoA plane stops fitting any cache level and a larger value is almost
-// certainly a typo'd or overflowed input, so it is refused loudly instead
-// of silently thrashing.
-inline constexpr unsigned kMaxBatchLanes = 4096;
 
 // Returns the worker count that `options` resolves to.
 unsigned resolve_thread_count(const MonteCarloOptions& options);
@@ -130,20 +110,11 @@ struct BatchReport {
 };
 
 // Fault-isolating driver: every replica runs to a verdict; failures never
-// abort the batch.  Deterministic: outcomes depend only on (master_seed,
-// replica, attempt), not on the thread schedule.
+// abort the batch.  Attempt a of replica r runs on
+// Rng::retry_seed(master_seed, r, a).  Deterministic: outcomes depend only
+// on (master_seed, replica, attempt), not on the thread schedule.
 BatchReport run_replicas_isolated_erased(
     std::size_t replicas, const std::function<void(std::size_t, Rng&)>& task,
-    const MonteCarloOptions& options);
-
-// Subset variant for resumable campaigns: runs exactly the replica ids in
-// `replica_ids` (any order, no duplicates), seeding each from its TRUE id
-// via Rng::retry_seed(master_seed, id, attempt).  A campaign that skips
-// journaled replicas and re-runs only the missing ones therefore reproduces
-// the uninterrupted batch bit for bit.
-BatchReport run_replica_set_isolated_erased(
-    std::span<const std::size_t> replica_ids,
-    const std::function<void(std::size_t, Rng&)>& task,
     const MonteCarloOptions& options);
 
 template <typename Result>

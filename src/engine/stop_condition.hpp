@@ -19,6 +19,8 @@ enum class StopKind {
 };
 
 std::string_view to_string(StopKind kind);
+// Inverse of to_string; throws std::invalid_argument on unknown names.
+StopKind parse_stop_kind(std::string_view name);
 
 bool is_satisfied(StopKind kind, const OpinionState& state);
 

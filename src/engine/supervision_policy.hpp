@@ -129,7 +129,12 @@ class SupervisionPolicy {
  private:
   struct ReadyLater {
     bool operator()(const WorkItem& a, const WorkItem& b) const {
-      return a.ready_at > b.ready_at;  // min-heap on ready_at
+      // Min-heap on ready_at; ties go to the lowest slot, so a fresh set
+      // is claimed in replica order and a cancel leaves a prefix done.
+      if (a.ready_at != b.ready_at) {
+        return a.ready_at > b.ready_at;
+      }
+      return a.slot > b.slot;
     }
   };
 

@@ -183,6 +183,13 @@ using SupervisedBatchTask =
     std::function<std::vector<std::optional<std::string>>(
         std::span<const BatchLane> lanes)>;
 
+// Upper bound on SupervisorOptions::batch_lanes, and so on divsim's
+// --batch-lanes.  A lane costs O(n) plane cells plus per-lane scratch;
+// beyond a few thousand lanes the SoA plane stops fitting any cache level
+// and a larger value is almost certainly a typo'd or overflowed input, so
+// it is refused loudly instead of silently thrashing.
+inline constexpr unsigned kMaxBatchLanes = 4096;
+
 struct SupervisorOptions {
   std::uint64_t master_seed = 0xd117ULL;
   // 0 = hardware_concurrency (at least 1).
@@ -242,7 +249,8 @@ struct SupervisorOptions {
   // join groups like any queued item, on their own retry_seed.  Every
   // supervision policy -- deadlines, stragglers, cancel, quarantine --
   // applies per LANE, via each lane's private token and Execution record.
-  // Defaults (1 lane / empty task) leave behavior untouched.
+  // Defaults (1 lane / empty task) leave behavior untouched.  Range:
+  // [1, kMaxBatchLanes]; run_supervised_set refuses anything else.
   unsigned batch_lanes = 1;
   SupervisedBatchTask batch_task;
   // Adaptive control plane (engine/adaptive).  When `estimator` is set,

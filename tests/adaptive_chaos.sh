@@ -7,8 +7,8 @@
 #      boundary and SIGCONT it.  The hostage replica must be deadline-killed
 #      and quarantined (exit 5, degraded), the kill must cite the LEARNED
 #      deadline and be visible in `journal --json`, and every healthy replica
-#      must be bit-identical to an unsupervised baseline -- zero healthy
-#      quarantines.
+#      must be bit-identical to a default-flags baseline (one attempt, no
+#      deadline) -- zero healthy quarantines.
 #   2. SIGKILL the campaign parent mid-flight, then --resume.  The resumed
 #      session must warm its estimator from calibration.journal, finish
 #      cleanly (exit 0), and the merged journal must match the baseline bit
@@ -39,8 +39,9 @@ WORK="$(mktemp -d)" || exit 77
 trap 'rm -rf "${WORK}"' EXIT
 
 # Slow-mixing graph so each replica takes a few hundred ms of real work; the
-# per-replica results are deterministic in (seed, replica, attempt), so the
-# unsupervised baseline is the bit-identity oracle for every supervised run.
+# per-replica results are deterministic in (seed, replica, attempt), so a
+# run with the default supervision flags is the bit-identity oracle for
+# every adaptive run.
 GRAPH=(--graph path:1024 --k 9 --stop consensus --max-steps 20000000
        --replicas 20 --seed 7)
 # Liveness thresholds far beyond any sleep below: ONLY the adaptive deadline
@@ -64,12 +65,12 @@ workers_of() {
   done
 }
 
-# Unsupervised baseline: the ground truth every healthy replica must match.
+# Default-flags baseline: the ground truth every healthy replica must match.
 "${DIVSIM}" run "${GRAPH[@]}" --checkpoint-dir "${WORK}/baseline" \
     > "${WORK}/baseline.out" 2>&1
 baseline_rc=$?
 if [[ ${baseline_rc} -ne 0 ]]; then
-  echo "FAIL: unsupervised baseline exited ${baseline_rc}" >&2
+  echo "FAIL: default-flags baseline exited ${baseline_rc}" >&2
   cat "${WORK}/baseline.out" >&2
   exit 1
 fi
@@ -161,7 +162,7 @@ if [[ $((completed + quarantined)) -ne 20 ]]; then
   echo "FAIL: ${completed} completed + ${quarantined} quarantined != 20" >&2
   exit 1
 fi
-# Every completed replica is bit-identical to the unsupervised baseline.
+# Every completed replica is bit-identical to the default-flags baseline.
 if ! grep -F -x -f "${WORK}/baseline.records" "${WORK}/hostage.records" \
     | diff -u - "${WORK}/hostage.records"; then
   echo "FAIL: a healthy hostage-run replica diverged from the baseline" >&2

@@ -44,13 +44,14 @@ QDIR="${WORK}/queue"
 CONFIG=(--graph=path:1024 --k=9 --stop=consensus --max-steps=20000000
         --replicas=12 --seed=7)
 
-# Unsupervised baseline of the SAME config: the queue's runner forces
-# --supervise, which never changes healthy replica bits.
+# Baseline of the SAME config outside the queue: the queue's runner
+# re-enters `divsim run` with the stored options, so healthy replica bits
+# match.
 "${DIVSIM}" run "${CONFIG[@]}" --checkpoint-dir "${WORK}/baseline" \
     > "${WORK}/baseline.out" 2>&1
 baseline_rc=$?
 if [[ ${baseline_rc} -ne 0 ]]; then
-  echo "FAIL: unsupervised baseline exited ${baseline_rc}" >&2
+  echo "FAIL: baseline exited ${baseline_rc}" >&2
   cat "${WORK}/baseline.out" >&2
   exit 1
 fi

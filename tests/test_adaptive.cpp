@@ -479,30 +479,6 @@ TEST(SupervisionRecordTest, PreSupervisionReadersFailLoudly) {
                std::invalid_argument);
 }
 
-TEST(SupervisionRecordTest, UnsupervisedResumeRefusesSupervisedJournal) {
-  const fs::path dir = fresh_dir("div_supervision_refusal");
-  CampaignOptions options;
-  options.directory = dir.string();
-  options.meta = "refusal-test 1\n";
-  const auto task = [](std::size_t replica,
-                       Rng&) -> std::optional<std::string> {
-    return "p" + std::to_string(replica);
-  };
-  ASSERT_TRUE(run_campaign(1, task, options).complete());
-  {
-    // A supervised session would have journaled its deadline decisions.
-    SupervisionEvent event;
-    event.kind = SupervisionEvent::Kind::kDeadlineKill;
-    event.replica = 0;
-    JournalWriter writer((dir / "results.journal").string());
-    writer.append(encode_supervision_record(event));
-    writer.flush();
-  }
-  options.resume = true;
-  EXPECT_THROW(run_campaign(2, task, options), std::runtime_error);
-  fs::remove_all(dir);
-}
-
 // ---------------------------------------------------------------------------
 // Supervisor integration (thread mode)
 

@@ -72,6 +72,33 @@ double two_sample_ks_statistic(std::vector<double> a, std::vector<double> b) {
   return d;
 }
 
+// Runs `replicas` replicas through `engine` in lock-step groups of 16
+// lanes, replica r seeded Rng(retry_seed(master, r, 0)) and started from
+// uniform_random_opinions(n, lo, hi) drawn on that stream.
+template <typename Result, typename Engine>
+std::vector<Result> run_in_groups(const Graph& graph, std::size_t replicas,
+                                  std::uint64_t master, Opinion lo, Opinion hi,
+                                  Engine&& engine) {
+  constexpr std::size_t kGroup = 16;
+  std::vector<Result> results;
+  for (std::size_t first = 0; first < replicas; first += kGroup) {
+    const auto width =
+        static_cast<unsigned>(std::min(kGroup, replicas - first));
+    OpinionPlane plane(graph, width);
+    std::vector<Rng> rngs;
+    rngs.reserve(width);
+    for (unsigned lane = 0; lane < width; ++lane) {
+      rngs.emplace_back(Rng::retry_seed(master, first + lane, 0));
+      plane.assign_lane(lane, uniform_random_opinions(graph.num_vertices(), lo,
+                                                      hi, rngs[lane]));
+    }
+    for (Result& result : engine(plane, rngs)) {
+      results.push_back(std::move(result));
+    }
+  }
+  return results;
+}
+
 void expect_same_result(const RunResult& scalar, const RunResult& lane,
                         const std::string& where) {
   EXPECT_EQ(scalar.status, lane.status) << where;
@@ -313,24 +340,17 @@ TEST(BatchEngine, WinnerDistributionMatchesScalarEngine) {
     }
 
     // Batched sample on an independent seed family.
-    MonteCarloOptions mc;
-    mc.master_seed = 0xcafe;
-    mc.batch_lanes = 16;
-    mc.num_threads = 2;
-    const auto batch = run_div_replicas_batched(
-        graph, scheme, kReplicas,
-        [&graph](std::size_t, Rng& rng) {
-          return uniform_random_opinions(graph.num_vertices(), kLo, kHi, rng);
-        },
-        RunOptions{}, mc);
-    ASSERT_TRUE(batch.report.ok());
+    const std::vector<RunResult> batch = run_in_groups<RunResult>(
+        graph, kReplicas, 0xcafe, kLo, kHi,
+        [&](OpinionPlane& plane, std::vector<Rng>& rngs) {
+          return run_batch(graph, scheme, plane, rngs, RunOptions{});
+        });
     std::vector<std::uint64_t> batch_winners(kHi - kLo + 1, 0);
     std::vector<double> batch_steps;
-    for (const auto& result : batch.results) {
-      ASSERT_TRUE(result.has_value());
-      ASSERT_EQ(result->status, RunStatus::kCompleted);
-      ++batch_winners[static_cast<std::size_t>(*result->winner - kLo)];
-      batch_steps.push_back(static_cast<double>(result->steps));
+    for (const RunResult& result : batch) {
+      ASSERT_EQ(result.status, RunStatus::kCompleted);
+      ++batch_winners[static_cast<std::size_t>(*result.winner - kLo)];
+      batch_steps.push_back(static_cast<double>(result.steps));
     }
 
     const double chi_p =
@@ -342,67 +362,6 @@ TEST(BatchEngine, WinnerDistributionMatchesScalarEngine) {
         1.95 * std::sqrt(2.0 / static_cast<double>(kReplicas));
     EXPECT_LT(d, critical) << "completion-time ECDFs diverge, scheme "
                            << to_string(scheme);
-  }
-}
-
-// The batched driver fills every slot with the scalar isolated driver's
-// attempt-0 result, at any lane width / replica count alignment.
-TEST(BatchDriver, SlotsMatchScalarAttemptZero) {
-  Rng graph_rng(0x31);
-  const Graph graph = make_connected_random_regular(24, 4, graph_rng);
-  constexpr std::size_t kReplicas = 10;  // deliberately not a lane multiple
-  constexpr std::uint64_t kMaster = 0xfeed;
-  RunOptions run_options;
-
-  VirtualDiv process(graph, SelectionScheme::kVertex);
-  std::vector<RunResult> scalar(kReplicas);
-  for (std::size_t replica = 0; replica < kReplicas; ++replica) {
-    Rng rng(Rng::retry_seed(kMaster, replica, 0));
-    OpinionState state(
-        graph, uniform_random_opinions(graph.num_vertices(), 1, 4, rng));
-    scalar[replica] = run(process, state, rng, run_options);
-  }
-
-  MonteCarloOptions mc;
-  mc.master_seed = kMaster;
-  mc.batch_lanes = 4;
-  mc.num_threads = 3;
-  const auto batch = run_div_replicas_batched(
-      graph, SelectionScheme::kVertex, kReplicas,
-      [&graph](std::size_t, Rng& rng) {
-        return uniform_random_opinions(graph.num_vertices(), 1, 4, rng);
-      },
-      run_options, mc);
-
-  EXPECT_EQ(batch.report.replicas, kReplicas);
-  EXPECT_EQ(batch.report.attempted, kReplicas);
-  EXPECT_TRUE(batch.report.ok());
-  EXPECT_FALSE(batch.report.cancelled);
-  ASSERT_EQ(batch.results.size(), kReplicas);
-  for (std::size_t replica = 0; replica < kReplicas; ++replica) {
-    ASSERT_TRUE(batch.results[replica].has_value());
-    expect_same_result(scalar[replica], *batch.results[replica],
-                       "replica " + std::to_string(replica));
-  }
-}
-
-TEST(BatchDriver, PresetCancelClaimsNothing) {
-  const Graph graph = make_cycle(8);
-  CancelToken token;
-  token.request(CancelReason::kUser);
-  MonteCarloOptions mc;
-  mc.batch_lanes = 4;
-  mc.cancel = &token;
-  const auto batch = run_div_replicas_batched(
-      graph, SelectionScheme::kEdge, 8,
-      [](std::size_t, Rng& rng) {
-        return uniform_random_opinions(8, 1, 3, rng);
-      },
-      RunOptions{}, mc);
-  EXPECT_TRUE(batch.report.cancelled);
-  EXPECT_EQ(batch.report.attempted, 0u);
-  for (const auto& result : batch.results) {
-    EXPECT_FALSE(result.has_value());
   }
 }
 
@@ -575,70 +534,114 @@ TEST(DiscordanceTrackerAlias, FrozenSamplingMatchesWeights) {
   EXPECT_FALSE(edge_tracker.alias_frozen());
 }
 
-// Thread-mode lock-step groups: payloads are identical to the scalar task's
-// (the contract batch_task implementations must honor), every replica
-// succeeds, and the report says groups actually formed.
+// Every field a lane result carries, as one comparable string.
+std::string result_payload(const RunResult& result,
+                           std::uint64_t effective_steps) {
+  return std::string(to_string(result.status)) + " " +
+         std::to_string(result.steps) + " " +
+         std::to_string(effective_steps) + " " +
+         (result.winner ? std::to_string(*result.winner) : "-") + " " +
+         std::to_string(result.final_sum) + " " +
+         std::to_string(result.num_active) + " " +
+         std::to_string(result.min_active) + " " +
+         std::to_string(result.max_active);
+}
+
+// Thread-mode lock-step groups through the real batch engines: every
+// payload is identical to the scalar engine's on the same attempt seed (the
+// contract batch_task implementations must honor), for the step engine
+// (run_batch vs run()'s virtual loop) and the jump engine (run_batch_jump
+// vs run_jump), at a replica count deliberately unaligned to the lane
+// width; every replica succeeds, and the report says groups actually formed.
 TEST(SupervisorBatch, GroupsProduceScalarIdenticalPayloads) {
-  constexpr std::size_t kReplicas = 16;
+  Rng graph_rng(0x31);
+  const Graph graph = make_connected_random_regular(24, 4, graph_rng);
+  constexpr std::size_t kReplicas = 10;
   constexpr std::uint64_t kMaster = 0xd00d;
-
-  const auto payload_for = [](std::size_t replica, Rng& rng) {
-    return std::to_string(replica) + ":" + std::to_string(rng.next());
-  };
-
   std::vector<std::size_t> ids(kReplicas);
   for (std::size_t i = 0; i < kReplicas; ++i) ids[i] = i;
 
-  // Scalar reference.
-  std::map<std::size_t, std::string> scalar_payloads;
-  {
+  for (const bool jump : {false, true}) {
+    SCOPED_TRACE(jump ? "jump engine" : "step engine");
+    const SupervisedTask scalar_task =
+        [&](std::size_t, Rng& rng,
+            const CancelToken& cancel) -> std::optional<std::string> {
+      OpinionState state(
+          graph, uniform_random_opinions(graph.num_vertices(), 1, 4, rng));
+      RunOptions options;
+      options.cancel = &cancel;
+      if (jump) {
+        DivProcess process(graph, SelectionScheme::kVertex);
+        const JumpRunResult result = run_jump(process, state, rng, options);
+        return result_payload(result, result.effective_steps);
+      }
+      VirtualDiv process(graph, SelectionScheme::kVertex);
+      return result_payload(run(process, state, rng, options), 0);
+    };
+
+    // Scalar reference: no groups.
+    std::map<std::size_t, std::string> scalar_payloads;
+    {
+      SupervisorOptions options;
+      options.master_seed = kMaster;
+      options.num_threads = 3;
+      const SupervisorReport report = run_supervised_set(
+          ids, scalar_task,
+          [&](std::size_t replica, std::string&& payload) {
+            scalar_payloads[replica] = std::move(payload);
+          },
+          options);
+      ASSERT_EQ(report.succeeded, kReplicas);
+      EXPECT_EQ(report.batch_groups, 0u);
+      EXPECT_EQ(report.batched_attempts, 0u);
+    }
+
+    // Batched run: same payloads, and groups actually formed.
+    std::map<std::size_t, std::string> batch_payloads;
     SupervisorOptions options;
     options.master_seed = kMaster;
-    options.num_threads = 2;
+    options.num_threads = 3;
+    options.batch_lanes = 4;
+    options.batch_task = [&](std::span<const BatchLane> lanes) {
+      const auto width = static_cast<unsigned>(lanes.size());
+      OpinionPlane plane(graph, width);
+      std::vector<Rng> rngs;
+      std::vector<const CancelToken*> cancels;
+      rngs.reserve(width);
+      for (unsigned lane = 0; lane < width; ++lane) {
+        rngs.emplace_back(lanes[lane].seed);
+        plane.assign_lane(lane, uniform_random_opinions(graph.num_vertices(),
+                                                        1, 4, rngs[lane]));
+        cancels.push_back(lanes[lane].cancel);
+      }
+      std::vector<std::optional<std::string>> verdicts;
+      if (jump) {
+        for (const JumpRunResult& result :
+             run_batch_jump(graph, SelectionScheme::kVertex, plane, rngs,
+                            RunOptions{}, cancels)) {
+          verdicts.emplace_back(result_payload(result, result.effective_steps));
+        }
+      } else {
+        for (const RunResult& result :
+             run_batch(graph, SelectionScheme::kVertex, plane, rngs,
+                       RunOptions{}, cancels)) {
+          verdicts.emplace_back(result_payload(result, 0));
+        }
+      }
+      return verdicts;
+    };
     const SupervisorReport report = run_supervised_set(
-        ids,
-        [&](std::size_t replica, Rng& rng, const CancelToken&) {
-          return std::optional<std::string>(payload_for(replica, rng));
-        },
+        ids, scalar_task,
         [&](std::size_t replica, std::string&& payload) {
-          scalar_payloads[replica] = std::move(payload);
+          batch_payloads[replica] = std::move(payload);
         },
         options);
-    ASSERT_EQ(report.succeeded, kReplicas);
-    EXPECT_EQ(report.batch_groups, 0u);
-    EXPECT_EQ(report.batched_attempts, 0u);
+
+    EXPECT_EQ(report.succeeded, kReplicas);
+    EXPECT_GE(report.batch_groups, 1u);
+    EXPECT_GE(report.batched_attempts, options.batch_lanes);
+    EXPECT_EQ(batch_payloads, scalar_payloads);
   }
-
-  // Batched run: same payloads, and groups actually formed.
-  std::map<std::size_t, std::string> batch_payloads;
-  SupervisorOptions options;
-  options.master_seed = kMaster;
-  options.num_threads = 2;
-  options.batch_lanes = 4;
-  options.batch_task =
-      [&](std::span<const BatchLane> lanes) {
-        std::vector<std::optional<std::string>> verdicts;
-        verdicts.reserve(lanes.size());
-        for (const BatchLane& lane : lanes) {
-          Rng rng(lane.seed);
-          verdicts.emplace_back(payload_for(lane.replica, rng));
-        }
-        return verdicts;
-      };
-  const SupervisorReport report = run_supervised_set(
-      ids,
-      [&](std::size_t replica, Rng& rng, const CancelToken&) {
-        return std::optional<std::string>(payload_for(replica, rng));
-      },
-      [&](std::size_t replica, std::string&& payload) {
-        batch_payloads[replica] = std::move(payload);
-      },
-      options);
-
-  EXPECT_EQ(report.succeeded, kReplicas);
-  EXPECT_GE(report.batch_groups, 1u);
-  EXPECT_GE(report.batched_attempts, options.batch_lanes);
-  EXPECT_EQ(batch_payloads, scalar_payloads);
 }
 
 // A batch_task returning the wrong number of verdicts is a deterministic
@@ -720,18 +723,10 @@ TEST(SupervisorBatch, GroupThrowRetriesEveryLane) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched jump-chain engine (run_batch_jump) -- refusals, per-lane cancel,
-// distributional equivalence, and the batched driver's slot contract.  The
-// draw-for-draw bit-identity suite lives in test_jump_engine.cpp
-// (BatchJump.LanesBitIdenticalToScalarJump and friends).
-
-void expect_same_jump_result(const JumpRunResult& scalar,
-                             const JumpRunResult& lane,
-                             const std::string& where) {
-  expect_same_result(scalar, lane, where);
-  EXPECT_EQ(scalar.effective_steps, lane.effective_steps) << where;
-  EXPECT_EQ(scalar.mode_switches, lane.mode_switches) << where;
-}
+// Batched jump-chain engine (run_batch_jump) -- refusals, per-lane cancel
+// and distributional equivalence.  The draw-for-draw bit-identity suite
+// lives in test_jump_engine.cpp (BatchJump.LanesBitIdenticalToScalarJump
+// and friends).
 
 TEST(BatchJump, RejectsTracingAndMismatchedRngs) {
   const Graph graph = make_cycle(6);
@@ -819,28 +814,21 @@ TEST(BatchJump, WinnerDistributionMatchesScalarJumpEngine) {
       scalar_steps.push_back(static_cast<double>(result.steps));
     }
 
-    MonteCarloOptions mc;
-    mc.master_seed = 0xcafe;
-    mc.batch_lanes = 16;
-    mc.num_threads = 2;
-    const auto batch = run_div_replicas_batched_jump(
-        graph, scheme, kReplicas,
-        [&graph](std::size_t, Rng& rng) {
-          return uniform_random_opinions(graph.num_vertices(), kLo, kHi, rng);
-        },
-        RunOptions{}, mc);
-    ASSERT_TRUE(batch.report.ok());
+    const std::vector<JumpRunResult> batch = run_in_groups<JumpRunResult>(
+        graph, kReplicas, 0xcafe, kLo, kHi,
+        [&](OpinionPlane& plane, std::vector<Rng>& rngs) {
+          return run_batch_jump(graph, scheme, plane, rngs, RunOptions{});
+        });
     std::vector<std::uint64_t> batch_winners(kHi - kLo + 1, 0);
     std::vector<double> batch_steps;
     double scheduled = 0.0;
     double effective = 0.0;
-    for (const auto& result : batch.results) {
-      ASSERT_TRUE(result.has_value());
-      ASSERT_EQ(result->status, RunStatus::kCompleted);
-      ++batch_winners[static_cast<std::size_t>(*result->winner - kLo)];
-      batch_steps.push_back(static_cast<double>(result->steps));
-      scheduled += static_cast<double>(result->steps);
-      effective += static_cast<double>(result->effective_steps);
+    for (const JumpRunResult& result : batch) {
+      ASSERT_EQ(result.status, RunStatus::kCompleted);
+      ++batch_winners[static_cast<std::size_t>(*result.winner - kLo)];
+      batch_steps.push_back(static_cast<double>(result.steps));
+      scheduled += static_cast<double>(result.steps);
+      effective += static_cast<double>(result.effective_steps);
     }
     // The lanes must have spent lazy stretches asleep, not stepped naively
     // throughout.
@@ -855,47 +843,6 @@ TEST(BatchJump, WinnerDistributionMatchesScalarJumpEngine) {
         1.95 * std::sqrt(2.0 / static_cast<double>(kReplicas));
     EXPECT_LT(d, critical) << "completion-time ECDFs diverge, scheme "
                            << to_string(scheme);
-  }
-}
-
-// The batched jump driver fills every slot with the scalar run_jump
-// attempt-0 result, at a replica count deliberately unaligned to the lane
-// width, across a worker pool.
-TEST(BatchDriver, JumpSlotsMatchScalarAttemptZero) {
-  Rng graph_rng(0x32);
-  const Graph graph = make_connected_random_regular(24, 4, graph_rng);
-  constexpr std::size_t kReplicas = 10;  // deliberately not a lane multiple
-  constexpr std::uint64_t kMaster = 0xfeee;
-  RunOptions run_options;
-
-  DivProcess process(graph, SelectionScheme::kVertex);
-  std::vector<JumpRunResult> scalar(kReplicas);
-  for (std::size_t replica = 0; replica < kReplicas; ++replica) {
-    Rng rng(Rng::retry_seed(kMaster, replica, 0));
-    OpinionState state(
-        graph, uniform_random_opinions(graph.num_vertices(), 1, 4, rng));
-    scalar[replica] = run_jump(process, state, rng, run_options);
-  }
-
-  MonteCarloOptions mc;
-  mc.master_seed = kMaster;
-  mc.batch_lanes = 4;
-  mc.num_threads = 3;
-  const auto batch = run_div_replicas_batched_jump(
-      graph, SelectionScheme::kVertex, kReplicas,
-      [&graph](std::size_t, Rng& rng) {
-        return uniform_random_opinions(graph.num_vertices(), 1, 4, rng);
-      },
-      run_options, mc);
-
-  EXPECT_EQ(batch.report.replicas, kReplicas);
-  EXPECT_EQ(batch.report.attempted, kReplicas);
-  EXPECT_TRUE(batch.report.ok());
-  ASSERT_EQ(batch.results.size(), kReplicas);
-  for (std::size_t replica = 0; replica < kReplicas; ++replica) {
-    ASSERT_TRUE(batch.results[replica].has_value());
-    expect_same_jump_result(scalar[replica], *batch.results[replica],
-                            "replica " + std::to_string(replica));
   }
 }
 

@@ -23,7 +23,8 @@ namespace fs = std::filesystem;
 // A task whose payload depends on the replica's RNG stream: any seeding
 // mistake (batch-index instead of true-id seeds) shows up as a payload
 // mismatch, not just a count mismatch.
-std::optional<std::string> rng_payload_task(std::size_t replica, Rng& rng) {
+std::optional<std::string> rng_payload_task(std::size_t replica, Rng& rng,
+                                            const CancelToken&) {
   return "r" + std::to_string(replica) + ":" + std::to_string(rng.next());
 }
 
@@ -40,9 +41,20 @@ class CampaignTest : public ::testing::Test {
     opts.directory = dir_.string();
     opts.resume = resume;
     opts.meta = "test-campaign 1\nk=3 seed=42\n";
-    opts.mc.master_seed = 42;
-    opts.mc.num_threads = 2;
     return opts;
+  }
+
+  static SupervisorOptions supervision() {
+    SupervisorOptions sup;
+    sup.master_seed = 42;
+    sup.num_threads = 2;
+    return sup;
+  }
+
+  SupervisedCampaignResult run(std::size_t replicas,
+                               const SupervisedTask& task,
+                               const CampaignOptions& opts) const {
+    return run_supervised_campaign(replicas, task, opts, supervision());
   }
 
   std::string journal_path() const {
@@ -53,11 +65,12 @@ class CampaignTest : public ::testing::Test {
 };
 
 TEST_F(CampaignTest, FreshCampaignJournalsEveryReplica) {
-  const CampaignResult result = run_campaign(8, rng_payload_task, options());
+  const SupervisedCampaignResult result =
+      run(8, rng_payload_task, options());
   EXPECT_TRUE(result.complete());
+  EXPECT_EQ(result.status, CampaignStatus::kComplete);
   EXPECT_EQ(result.ran, 8u);
   EXPECT_EQ(result.resumed, 0u);
-  EXPECT_FALSE(result.cancelled);
   ASSERT_EQ(result.payloads.size(), 8u);
   for (std::size_t r = 0; r < 8; ++r) {
     ASSERT_TRUE(result.payloads[r].has_value()) << "replica " << r;
@@ -70,9 +83,9 @@ TEST_F(CampaignTest, FreshCampaignJournalsEveryReplica) {
 }
 
 TEST_F(CampaignTest, ResumeOfFinishedCampaignRunsNothing) {
-  const CampaignResult first = run_campaign(8, rng_payload_task, options());
-  const CampaignResult second =
-      run_campaign(8, rng_payload_task, options(/*resume=*/true));
+  const SupervisedCampaignResult first = run(8, rng_payload_task, options());
+  const SupervisedCampaignResult second =
+      run(8, rng_payload_task, options(/*resume=*/true));
   EXPECT_TRUE(second.complete());
   EXPECT_EQ(second.resumed, 8u);
   EXPECT_EQ(second.ran, 0u);
@@ -85,8 +98,8 @@ TEST_F(CampaignTest, PartialResumeMergesBitIdenticallyWithUninterruptedRun) {
   fs::remove_all(baseline_dir);
   CampaignOptions baseline_opts = options();
   baseline_opts.directory = baseline_dir.string();
-  const CampaignResult baseline =
-      run_campaign(10, rng_payload_task, baseline_opts);
+  const SupervisedCampaignResult baseline =
+      run(10, rng_payload_task, baseline_opts);
   ASSERT_TRUE(baseline.complete());
 
   // Simulate a crash that persisted only the even replicas: hand-write the
@@ -100,8 +113,8 @@ TEST_F(CampaignTest, PartialResumeMergesBitIdenticallyWithUninterruptedRun) {
     }
   }
 
-  const CampaignResult resumed =
-      run_campaign(10, rng_payload_task, options(/*resume=*/true));
+  const SupervisedCampaignResult resumed =
+      run(10, rng_payload_task, options(/*resume=*/true));
   EXPECT_TRUE(resumed.complete());
   EXPECT_EQ(resumed.resumed, 5u);
   EXPECT_EQ(resumed.ran, 5u);  // only the odd replicas re-ran
@@ -112,14 +125,14 @@ TEST_F(CampaignTest, PartialResumeMergesBitIdenticallyWithUninterruptedRun) {
 }
 
 TEST_F(CampaignTest, TornJournalTailIsRecoveredOnResume) {
-  const CampaignResult first = run_campaign(6, rng_payload_task, options());
+  const SupervisedCampaignResult first = run(6, rng_payload_task, options());
   ASSERT_TRUE(first.complete());
   // Tear the last record mid-frame, as a crash between write() calls would.
   const auto size = fs::file_size(journal_path());
   fs::resize_file(journal_path(), size - 3);
 
-  const CampaignResult resumed =
-      run_campaign(6, rng_payload_task, options(/*resume=*/true));
+  const SupervisedCampaignResult resumed =
+      run(6, rng_payload_task, options(/*resume=*/true));
   EXPECT_TRUE(resumed.complete());
   EXPECT_EQ(resumed.resumed, 5u);  // the torn record was dropped...
   EXPECT_EQ(resumed.ran, 1u);      // ...and its replica re-ran
@@ -128,60 +141,60 @@ TEST_F(CampaignTest, TornJournalTailIsRecoveredOnResume) {
 }
 
 TEST_F(CampaignTest, ExistingJournalWithoutResumeFlagThrows) {
-  run_campaign(2, rng_payload_task, options());
-  EXPECT_THROW(run_campaign(2, rng_payload_task, options(/*resume=*/false)),
+  run(2, rng_payload_task, options());
+  EXPECT_THROW(run(2, rng_payload_task, options(/*resume=*/false)),
                std::runtime_error);
 }
 
 TEST_F(CampaignTest, MetaMismatchOnResumeThrows) {
-  run_campaign(2, rng_payload_task, options());
+  run(2, rng_payload_task, options());
   CampaignOptions changed = options(/*resume=*/true);
   changed.meta = "test-campaign 1\nk=4 seed=42\n";
-  EXPECT_THROW(run_campaign(2, rng_payload_task, changed), std::runtime_error);
+  EXPECT_THROW(run(2, rng_payload_task, changed), std::runtime_error);
 }
 
 TEST_F(CampaignTest, PresetCancelJournalsNothingAndResumeFinishes) {
   CancelToken token;
   token.request();
-  CampaignOptions cancelled_opts = options();
-  cancelled_opts.mc.cancel = &token;
-  const CampaignResult cancelled =
-      run_campaign(5, rng_payload_task, cancelled_opts);
-  EXPECT_TRUE(cancelled.cancelled);
+  SupervisorOptions cancelled_sup = supervision();
+  cancelled_sup.cancel = &token;
+  const SupervisedCampaignResult cancelled = run_supervised_campaign(
+      5, rng_payload_task, options(), cancelled_sup);
+  EXPECT_EQ(cancelled.status, CampaignStatus::kCancelled);
   EXPECT_FALSE(cancelled.complete());
   EXPECT_EQ(cancelled.ran, 0u);
   EXPECT_EQ(read_journal(journal_path()).records.size(), 0u);
 
-  const CampaignResult resumed =
-      run_campaign(5, rng_payload_task, options(/*resume=*/true));
+  const SupervisedCampaignResult resumed =
+      run(5, rng_payload_task, options(/*resume=*/true));
   EXPECT_TRUE(resumed.complete());
   EXPECT_EQ(resumed.ran, 5u);
 }
 
 // Regression for the fires-after-last-claim race: a token that fires while
-// the FINAL replica is in flight leaves the batch complete.  The driver
-// still reports that the token fired (report.cancelled), but the campaign
-// is finished -- there is nothing to resume -- so CampaignResult.cancelled
-// (documented as "resume to finish the rest") must be false.  The old
-// inference (attempted < replicas) combined with a campaign-side workaround
-// misclassified this case.
+// the FINAL replica is in flight leaves the batch complete.  The report
+// still records that the token fired, but the campaign is finished --
+// there is nothing to resume -- so its status must not be kCancelled
+// (documented as "resume to finish the rest").
 TEST_F(CampaignTest, CancelDuringFinalReplicaLeavesCampaignComplete) {
   CancelToken token;
-  CampaignOptions opts = options();
-  opts.mc.cancel = &token;
-  opts.mc.num_threads = 1;  // sequential claims: replica 4 is the last
-  const auto task = [&](std::size_t replica,
-                        Rng& rng) -> std::optional<std::string> {
+  SupervisorOptions sup = supervision();
+  sup.cancel = &token;
+  sup.num_threads = 1;  // sequential claims: replica 4 is the last
+  const SupervisedTask task = [&](std::size_t replica, Rng& rng,
+                                  const CancelToken& lease)
+      -> std::optional<std::string> {
     if (replica == 4) {
       token.request();  // fires after the last slot was claimed
     }
-    return rng_payload_task(replica, rng);
+    return rng_payload_task(replica, rng, lease);
   };
-  const CampaignResult result = run_campaign(5, task, opts);
+  const SupervisedCampaignResult result =
+      run_supervised_campaign(5, task, options(), sup);
   EXPECT_TRUE(result.report.cancelled);  // the token DID fire
   EXPECT_TRUE(result.complete());
   EXPECT_EQ(result.ran, 5u);
-  EXPECT_FALSE(result.cancelled);  // nothing left to resume
+  EXPECT_EQ(result.status, CampaignStatus::kComplete);  // nothing to resume
   EXPECT_EQ(read_journal(journal_path()).records.size(), 5u);
 }
 
@@ -201,8 +214,10 @@ TEST_F(CampaignTest, HeartbeatBeatsOnEveryJournalFlush) {
   CampaignOptions opts = options();
   opts.flush_every = 2;
   opts.heartbeat = &heartbeat;
-  opts.mc.progress = &progress;
-  const CampaignResult result = run_campaign(4, rng_payload_task, opts);
+  SupervisorOptions sup = supervision();
+  sup.progress = &progress;
+  const SupervisedCampaignResult result =
+      run_supervised_campaign(4, rng_payload_task, opts, sup);
   heartbeat.stop();
   ASSERT_TRUE(result.complete());
   // 4 records with flush_every=2: in-loop flushes after records 2 and 4,
@@ -218,48 +233,59 @@ TEST_F(CampaignTest, HeartbeatBeatsOnEveryJournalFlush) {
   EXPECT_EQ(records.back().reason, "final");
   EXPECT_EQ(records.back().total, 4u);
   EXPECT_EQ(records.back().done, 4u);
-  // run_campaign seeded the progress totals before any replica ran.
+  // The campaign seeded the progress totals before any replica ran.
   EXPECT_EQ(progress.total.load(), 4u);
   EXPECT_EQ(progress.completed.load(), 4u);
 }
 
 TEST_F(CampaignTest, NulloptTaskResultsAreNotJournaled) {
-  // A task that declines replica 3 (the cancelled-drain convention).
-  const auto task = [](std::size_t replica,
-                       Rng& rng) -> std::optional<std::string> {
+  // A task that declines replica 3 (the drain convention).
+  const SupervisedTask task = [](std::size_t replica, Rng& rng,
+                                 const CancelToken& lease)
+      -> std::optional<std::string> {
     if (replica == 3) {
       return std::nullopt;
     }
-    return rng_payload_task(replica, rng);
+    return rng_payload_task(replica, rng, lease);
   };
-  const CampaignResult result = run_campaign(5, task, options());
+  const SupervisedCampaignResult result = run(5, task, options());
   EXPECT_FALSE(result.complete());
   EXPECT_EQ(result.ran, 4u);
   EXPECT_FALSE(result.payloads[3].has_value());
   EXPECT_EQ(read_journal(journal_path()).records.size(), 4u);
 
-  const CampaignResult resumed =
-      run_campaign(5, rng_payload_task, options(/*resume=*/true));
+  const SupervisedCampaignResult resumed =
+      run(5, rng_payload_task, options(/*resume=*/true));
   EXPECT_TRUE(resumed.complete());
   EXPECT_EQ(resumed.resumed, 4u);
   EXPECT_EQ(resumed.ran, 1u);
 }
 
+// A replica that fails every attempt gets no payload record: it is
+// quarantined instead, and the journal says so.
 TEST_F(CampaignTest, PersistentlyFailingReplicaIsReportedNotJournaled) {
-  const auto task = [](std::size_t replica,
-                       Rng& rng) -> std::optional<std::string> {
+  const SupervisedTask task = [](std::size_t replica, Rng& rng,
+                                 const CancelToken& lease)
+      -> std::optional<std::string> {
     if (replica == 1) {
       throw std::runtime_error("injected fault");
     }
-    return rng_payload_task(replica, rng);
+    return rng_payload_task(replica, rng, lease);
   };
-  const CampaignResult result = run_campaign(4, task, options());
+  const SupervisedCampaignResult result = run(4, task, options());
   EXPECT_FALSE(result.complete());
-  EXPECT_FALSE(result.report.ok());
-  ASSERT_EQ(result.report.errors.size(), 1u);
-  EXPECT_EQ(result.report.errors[0].replica, 1u);
+  EXPECT_EQ(result.status, CampaignStatus::kFailed);
+  ASSERT_EQ(result.quarantined.size(), 1u);
+  EXPECT_EQ(result.quarantined[0].replica, 1u);
+  EXPECT_EQ(result.quarantined[0].message, "injected fault");
   EXPECT_FALSE(result.payloads[1].has_value());
-  EXPECT_EQ(read_journal(journal_path()).records.size(), 3u);
+  const JournalRecovery recovery = read_journal(journal_path());
+  ASSERT_EQ(recovery.records.size(), 4u);
+  std::size_t quarantine_records = 0;
+  for (const std::string& record : recovery.records) {
+    quarantine_records += is_quarantine_record(record) ? 1 : 0;
+  }
+  EXPECT_EQ(quarantine_records, 1u);
 }
 
 TEST(CampaignRecord, EncodeDecodeRoundTrips) {

@@ -171,6 +171,11 @@ TEST(BatchLanesCli, RefusalTextNamesTheScalarFallback) {
   EXPECT_STREQ(kBatchLanesTraceRefusal,
                "--batch-lanes does not support --trace (per-step tracing is "
                "a scalar-engine feature)");
+  // Not a lane refusal: fleet workers return only the journal payload, so
+  // a trace could never be printed.
+  EXPECT_STREQ(kTraceProcessRefusal,
+               "--trace is not supported with --isolation process (worker "
+               "traces never reach the parent; use --isolation thread)");
 }
 
 }  // namespace

@@ -23,6 +23,15 @@ TEST(StopCondition, Names) {
   EXPECT_EQ(to_string(StopKind::kTwoAdjacent), "two-adjacent");
 }
 
+TEST(StopCondition, ParseInvertsNamesAndRefusesUnknown) {
+  for (const StopKind kind : {StopKind::kConsensus, StopKind::kTwoAdjacent}) {
+    EXPECT_EQ(parse_stop_kind(to_string(kind)), kind);
+  }
+  EXPECT_THROW(parse_stop_kind("bogus"), std::invalid_argument);
+  EXPECT_THROW(parse_stop_kind(""), std::invalid_argument);
+  EXPECT_THROW(parse_stop_kind("Consensus"), std::invalid_argument);
+}
+
 TEST(StopCondition, Satisfaction) {
   const Graph g = make_cycle(4);
   const OpinionState spread(g, {1, 2, 3, 4});

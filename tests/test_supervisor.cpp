@@ -62,8 +62,8 @@ TEST(SupervisorTest, HealthyBatchMatchesIsolatedDriver) {
   const std::size_t n = 32;
   const MonteCarloOptions mc{.master_seed = 1234, .num_threads = 4};
   std::vector<std::optional<std::string>> expected(n);
-  run_replica_set_isolated_erased(
-      iota_ids(n),
+  run_replicas_isolated_erased(
+      n,
       [&](std::size_t replica, Rng& rng) {
         expected[replica] = rng_payload(replica, rng);
       },
@@ -505,9 +505,9 @@ TEST(SupervisedCampaignRecord, MalformedQuarantineRecordsThrow) {
 TEST_F(SupervisedCampaignTest, KillDrill) {
   // The acceptance drill: one replica hangs forever, one throws
   // deterministically.  The campaign must complete kDegraded with exactly
-  // those ids quarantined, every other replica bit-identical to an
-  // UNSUPERVISED campaign with the same master seed, and a resume must skip
-  // the quarantined ids without re-executing anything.
+  // those ids quarantined, every other replica bit-identical to the isolated
+  // reference driver with the same master seed, and a resume must skip the
+  // quarantined ids without re-executing anything.
   constexpr std::size_t kReplicas = 8;
   constexpr std::uint64_t kMaster = 42;
   const SupervisedTask drill_task =
@@ -547,21 +547,18 @@ TEST_F(SupervisedCampaignTest, KillDrill) {
   EXPECT_FALSE(outcome.payloads[3].has_value());
   EXPECT_FALSE(outcome.payloads[5].has_value());
 
-  // Healthy replicas match an unsupervised sibling campaign bit for bit.
-  const fs::path sibling = dir_.string() + ".unsupervised";
-  fs::remove_all(sibling);
-  CampaignOptions plain_options = options();
-  plain_options.directory = sibling.string();
-  plain_options.mc.master_seed = kMaster;
-  plain_options.mc.num_threads = 2;
-  const CampaignResult plain = run_campaign(
+  // Healthy replicas match the isolated reference driver bit for bit.
+  const MonteCarloOptions mc{.master_seed = kMaster, .num_threads = 2};
+  std::vector<std::optional<std::string>> expected(kReplicas);
+  run_replicas_isolated_erased(
       kReplicas,
-      [](std::size_t replica, Rng& rng) { return rng_payload(replica, rng); },
-      plain_options);
-  fs::remove_all(sibling);
+      [&](std::size_t replica, Rng& rng) {
+        expected[replica] = rng_payload(replica, rng);
+      },
+      mc);
   for (const std::size_t replica : {0u, 1u, 2u, 4u, 6u, 7u}) {
     ASSERT_TRUE(outcome.payloads[replica].has_value()) << replica;
-    EXPECT_EQ(*outcome.payloads[replica], *plain.payloads[replica])
+    EXPECT_EQ(*outcome.payloads[replica], *expected[replica])
         << "replica " << replica;
   }
 
@@ -581,18 +578,6 @@ TEST_F(SupervisedCampaignTest, KillDrill) {
   ASSERT_EQ(resumed.quarantined.size(), 2u);
   EXPECT_EQ(resumed.quarantined[0].replica, 3u);
   EXPECT_EQ(resumed.quarantined[1].replica, 5u);
-
-  // An unsupervised resume of the same directory refuses the quarantines.
-  try {
-    run_campaign(
-        kReplicas,
-        [](std::size_t replica, Rng& rng) { return rng_payload(replica, rng); },
-        options(/*resume=*/true));
-    FAIL() << "expected run_campaign to refuse quarantine records";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("quarantine"), std::string::npos)
-        << error.what();
-  }
 }
 
 TEST_F(SupervisedCampaignTest, QuorumMissGradesFailed) {

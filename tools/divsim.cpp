@@ -10,7 +10,7 @@
 //                   [--deadline-safety F] [--deadline-min-samples N]
 //                   [--breaker-failures N] [--breaker-window-ms N]
 //                   [--breaker-cooldown-ms N]
-//                   [--straggler-factor F] [--min-success F] [--supervise]
+//                   [--straggler-factor F] [--min-success F]
 //                   [--isolation thread|process] [--workers N]
 //                   [--suspect-after-ms N] [--dead-after-ms N]
 //                   [--checkpoint-dir D [--checkpoint-every R] [--resume]
@@ -43,7 +43,7 @@
 //   0    success -- every requested replica completed
 //   1    error (bad spec, I/O failure, meta mismatch, ...)
 //   2    usage
-//   3    replica errors, or a supervised run below its success quorum
+//   3    replicas quarantined below the --min-success quorum
 //   4    torn journal tail detected by `divsim journal` / `queue status`
 //   5    degraded -- quarantines exist but the --min-success quorum holds;
 //        distinct from 3 so scripts can accept degraded-but-usable sweeps
@@ -56,6 +56,8 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -155,10 +157,9 @@ int usage() {
       "               median (past the learned quantile once the estimator\n"
       "               is confident); --min-success F completes a campaign as\n"
       "               'degraded' once that fraction succeeded even if poison\n"
-      "               replicas were quarantined; --supervise forces the\n"
-      "               supervised driver with defaults.  Any of these flags\n"
-      "               switches `run` to the supervisor.\n"
-      "backpressure:  supervised runs trip a circuit breaker after\n"
+      "               replicas were quarantined.  Every run is supervised;\n"
+      "               the defaults run each replica once, no deadline.\n"
+      "backpressure:  runs trip a circuit breaker after\n"
       "               --breaker-failures transient failures (default 4;\n"
       "               0 disables) inside --breaker-window-ms (default 2000):\n"
       "               retry backoff widens 4x and the process fleet stops\n"
@@ -192,8 +193,8 @@ int usage() {
       "               requeues and resumes the campaign bit-identically.\n"
       "               `queue status [--json] [--deep]` inspects; `queue\n"
       "               drain` cancels everything still Queued.\n"
-      "exit codes:    0 ok; 1 error; 2 usage; 3 replica errors or below the\n"
-      "               success quorum; 4 torn journal (journal/status);\n"
+      "exit codes:    0 ok; 1 error (bad spec or option); 2 usage; 3 below\n"
+      "               the success quorum; 4 torn journal (journal/status);\n"
       "               5 degraded (quorum met despite quarantines);\n"
       "               6 queue admission refused (depth limit reached);\n"
       "               130 cancelled by SIGINT/SIGTERM (resume hint printed)\n";
@@ -278,7 +279,7 @@ int cmd_run(const Args& args) {
   const SelectionScheme scheme = parse_scheme(args.get("scheme", "edge"));
   const std::string process_name = args.get("process", "div");
   const auto replicas = static_cast<std::size_t>(args.get_u64("replicas", 1));
-  const std::string stop_text = args.get("stop", "consensus");
+  const StopKind stop = parse_stop_kind(args.get("stop", "consensus"));
   const std::uint64_t trace_stride = args.get_u64("trace", 0);
   const std::string fault_text = args.get("fault", "");
   const auto retries = static_cast<unsigned>(args.get_u64("retries", 0));
@@ -289,6 +290,14 @@ int cmd_run(const Args& args) {
                                 engine + "'");
   }
   const bool jump = engine == "jump";
+  // Configuration errors are refused here, once, rather than surfacing as
+  // one failed attempt per replica.
+  make_process_from_spec(process_name, scheme, graph);
+  if (jump && process_name != "div") {
+    throw std::invalid_argument(
+        "--engine=jump only supports --process div (the jump chain is "
+        "derived from the DIV update rule); use the step engine");
+  }
   if (jump && fault_spec.any()) {
     throw std::invalid_argument(
         "--engine=jump cannot honor --fault: lazy steps are not no-ops under "
@@ -312,10 +321,9 @@ int cmd_run(const Args& args) {
   const bool heartbeat_given = !args.get("heartbeat-ms", "").empty();
   const std::uint64_t heartbeat_ms = args.get_u64("heartbeat-ms", 1000);
 
-  // Supervision knobs.  Passing ANY of them (or --supervise) routes the run
-  // through the supervised driver; otherwise the plain isolated driver runs,
-  // so existing invocations keep their exact behavior and performance.
-  const bool backoff_given = !args.get("retry-backoff", "").empty();
+  // Supervision knobs.  Every run goes through the supervisor; with the
+  // defaults it runs each replica once on its attempt-0 stream and changes
+  // nothing an attempt computes.
   // --deadline-ms takes a count OR the literal "auto".  Auto runs with the
   // adaptive estimator armed: attempts are budgeted at the learned
   // completion-time quantile x safety once the confidence gate opens, and
@@ -338,12 +346,8 @@ int cmd_run(const Args& args) {
   if (deadline_min_samples == 0) {
     throw std::invalid_argument("--deadline-min-samples must be >= 1");
   }
-  // Fleet backpressure: the breaker defaults ON for supervised runs (it only
-  // changes retry pacing and replacement-fork width, never results), and
-  // passing any breaker knob explicitly opts the run into supervision.
-  const bool breaker_given = !args.get("breaker-failures", "").empty() ||
-                             !args.get("breaker-window-ms", "").empty() ||
-                             !args.get("breaker-cooldown-ms", "").empty();
+  // Fleet backpressure: the breaker defaults ON (it only changes retry
+  // pacing and replacement-fork width, never results).
   const std::uint64_t breaker_failures = args.get_u64("breaker-failures", 4);
   const std::uint64_t breaker_window_ms =
       args.get_u64("breaker-window-ms", 2000);
@@ -361,7 +365,7 @@ int cmd_run(const Args& args) {
   // Isolation: --isolation process forks a worker fleet so a crashing
   // replica (SIGSEGV, bad_alloc the allocator cannot survive, stack smash)
   // costs one attempt instead of the whole run.  Fleet knobs only apply
-  // there; process isolation implies the supervised driver.
+  // there.
   const Isolation isolation = parse_isolation(args.get("isolation", "thread"));
   const auto fleet_workers = static_cast<unsigned>(args.get_u64("workers", 0));
   const std::uint64_t suspect_after_ms = args.get_u64("suspect-after-ms", 500);
@@ -376,20 +380,18 @@ int cmd_run(const Args& args) {
         "--retry-quarantined only makes sense with --resume (it re-admits "
         "replicas a previous session quarantined)");
   }
-  const bool supervise = args.flag("supervise") || deadline_ms > 0 ||
-                         deadline_auto || breaker_given ||
-                         straggler_factor > 0.0 || min_success < 1.0 ||
-                         backoff_given || retry_quarantined ||
-                         isolation == Isolation::kProcess;
+  if (trace_stride > 0 && isolation == Isolation::kProcess) {
+    throw std::invalid_argument(kTraceProcessRefusal);
+  }
 
-  // Lock-step batching: run N replicas per worker claim through the batch
-  // engines (one SoA OpinionPlane per group; run_batch for --engine step,
+  // Lock-step batching: run N replicas per group through the batch engines
+  // (one SoA OpinionPlane per group; run_batch for --engine step,
   // run_batch_jump for --engine jump).  Per-replica results stay
-  // bit-identical to the scalar drivers' attempt 0 -- this is purely a
-  // throughput knob -- but it only exists for plain DIV, so the
-  // incompatible modes are refused loudly rather than silently falling
-  // back.  The raw u64 is validated BEFORE narrowing: 0 and values past
-  // kMaxBatchLanes used to be silently clamped/wrapped.
+  // bit-identical to the scalar engines -- this is purely a throughput knob
+  // -- but it only exists for plain DIV, so the incompatible modes are
+  // refused loudly rather than silently falling back.  The raw u64 is
+  // validated before narrowing, so 0 and values past kMaxBatchLanes are
+  // refused rather than clamped or wrapped.
   const unsigned batch_lanes =
       validate_batch_lanes(args.get_u64("batch-lanes", 1));
   if (batch_lanes > 1) {
@@ -405,14 +407,11 @@ int cmd_run(const Args& args) {
   }
 
   RunOptions options;
-  options.stop = stop_text == "two-adjacent" ? StopKind::kTwoAdjacent
-                                             : StopKind::kConsensus;
+  options.stop = stop;
   options.max_steps = args.get_u64(
       "max-steps", static_cast<std::uint64_t>(graph.num_vertices()) *
                        graph.num_vertices() * 1000);
   options.trace_stride = trace_stride;
-  // Both engines drain at a step boundary when SIGINT/SIGTERM arrives.
-  options.cancel = &CancelToken::global();
   warn_unused(args);
 
   std::cout << "graph: " << graph.summary() << "\n"
@@ -422,10 +421,7 @@ int cmd_run(const Args& args) {
             << ", replicas: " << replicas << "\n";
   if (batch_lanes > 1) {
     std::cout << "batch lanes: " << batch_lanes << " (lock-step engine";
-    if (!checkpoint_dir.empty() && !supervise) {
-      std::cout << "; note: plain campaigns journal via the scalar driver, "
-                   "add --supervise to batch";
-    } else if (isolation == Isolation::kProcess) {
+    if (isolation == Isolation::kProcess) {
       std::cout << "; note: the process fleet hands workers scalar attempts, "
                    "use --isolation thread to batch";
     }
@@ -436,8 +432,8 @@ int cmd_run(const Args& args) {
   }
 
   // Telemetry plumbing.  The JSONL emitter, registry, and heartbeat are all
-  // safe to share across Monte-Carlo workers (mutex-guarded emit, relaxed
-  // atomics); a null emitter / false ticker disables each piece entirely.
+  // safe to share across workers (mutex-guarded emit, relaxed atomics); a
+  // null emitter / false ticker disables each piece entirely.
   std::unique_ptr<JsonlWriter> metrics_out;
   if (!metrics_path.empty()) {
     metrics_out = std::make_unique<JsonlWriter>(metrics_path);
@@ -496,14 +492,66 @@ int cmd_run(const Args& args) {
         std::chrono::milliseconds(heartbeat_ms));
   }
 
-  // `cancel` is the attempt's drain token: the global SIGINT token for the
-  // plain drivers, a supervisor-owned per-attempt lease under supervision
-  // (so a deadline kill stops one attempt, not the whole batch).
-  // `emit_telemetry` is false inside fleet worker processes: they inherit
-  // the parent's JSONL file descriptor and registry across fork(), and a
-  // child writing either would interleave with (and double) the parent's.
-  const auto run_one = [&](std::size_t replica, Rng& rng,
-                           const CancelToken& cancel, bool emit_telemetry) {
+  // The telemetry tail of one finished attempt, shared by the scalar and
+  // the group task: counters, the steps histogram and one "run" record.
+  // Completion order across workers is nondeterministic, so records are
+  // keyed by replica id; a retried replica emits one record per attempt and
+  // readers keep the last.  Scalar attempts carry their RunMetrics
+  // trajectory; batch lanes carry the group width instead (the batch
+  // engine reports group-level metrics only).
+  const auto account = [&](std::size_t replica, const ReplicaRun& out,
+                           const RunMetrics* trajectory, unsigned lanes) {
+    if (telemetry) {
+      switch (out.result.status) {
+        case RunStatus::kCompleted: runs_completed.add(); break;
+        case RunStatus::kCapped:    runs_capped.add(); break;
+        case RunStatus::kFaulted:   runs_faulted.add(); break;
+        case RunStatus::kCancelled: runs_cancelled.add(); break;
+        case RunStatus::kDeadline:  runs_deadline.add(); break;
+      }
+      steps_hist.observe(static_cast<double>(out.result.steps));
+    }
+    if (metrics_out) {
+      JsonObject line;
+      line.field("type", "run")
+          .field("replica", static_cast<std::uint64_t>(replica))
+          .field("status", to_string(out.result.status))
+          .field("steps", out.result.steps)
+          .field("effective_steps", out.effective_steps);
+      if (trajectory != nullptr) {
+        line.raw_field("metrics", trajectory->to_json());
+      } else {
+        line.field("batch_lanes", static_cast<std::uint64_t>(lanes));
+      }
+      metrics_out->emit(line.str());
+    }
+  };
+  // The supervisor's drain convention: nullopt for BOTH a deadline kill and
+  // an operator drain; it reads the lease token's CancelReason to tell them
+  // apart.  A finished attempt persists through the codec the campaign
+  // journal uses.
+  const auto verdict = [](const ReplicaRun& out) -> std::optional<std::string> {
+    if (out.result.status == RunStatus::kCancelled ||
+        out.result.status == RunStatus::kDeadline) {
+      return std::nullopt;
+    }
+    return encode_replica_run(out);
+  };
+
+  // Replica 0's trace, printed after the summary.  Kept from its finished
+  // attempt only; a speculative twin of that attempt records the same trace.
+  Trace replica0_trace;
+  std::mutex replica0_trace_mutex;
+
+  // One attempt of one replica.  `cancel` is the attempt's lease token, so
+  // a deadline kill or an operator drain stops it at a step boundary.
+  // Telemetry stays off inside fleet worker processes: they inherit the
+  // parent's JSONL file descriptor and registry across fork(), and a child
+  // writing either would interleave with (and double) the parent's.
+  const bool emit_telemetry = isolation == Isolation::kThread;
+  const SupervisedTask run_one = [&](std::size_t replica, Rng& rng,
+                                     const CancelToken& cancel)
+      -> std::optional<std::string> {
     OpinionState state(
         graph, uniform_random_opinions(graph.num_vertices(), 1, k, rng));
     auto process = make_process_from_spec(process_name, scheme, graph);
@@ -536,67 +584,16 @@ int cmd_run(const Args& args) {
     } else {
       out.result = run_guarded(*process, state, rng, replica_options);
     }
-    if (telemetry && emit_telemetry) {
-      switch (out.result.status) {
-        case RunStatus::kCompleted: runs_completed.add(); break;
-        case RunStatus::kCapped:    runs_capped.add(); break;
-        case RunStatus::kFaulted:   runs_faulted.add(); break;
-        case RunStatus::kCancelled: runs_cancelled.add(); break;
-        case RunStatus::kDeadline:  runs_deadline.add(); break;
-      }
-      steps_hist.observe(static_cast<double>(out.result.steps));
+    if (emit_telemetry) {
+      account(replica, out, &metrics, 1);
     }
-    if (metrics_out && emit_telemetry) {
-      // Completion order across workers is nondeterministic, so records are
-      // keyed by replica id; a retried replica emits one record per attempt
-      // and readers keep the last.
-      JsonObject line;
-      line.field("type", "run")
-          .field("replica", static_cast<std::uint64_t>(replica))
-          .field("status", to_string(out.result.status))
-          .field("steps", out.result.steps)
-          .field("effective_steps", out.effective_steps)
-          .raw_field("metrics", metrics.to_json());
-      metrics_out->emit(line.str());
+    std::optional<std::string> payload = verdict(out);
+    if (replica == 0 && trace_stride > 0 && payload) {
+      const std::lock_guard<std::mutex> lock(replica0_trace_mutex);
+      replica0_trace = std::move(out.result.trace);
     }
-    return out;
+    return payload;
   };
-
-  // Telemetry for one batch-engine lane: the same counters / histogram /
-  // "run" record as run_one's tail, minus the per-replica RunMetrics
-  // trajectory (the batch engine reports group-level metrics only); the
-  // record carries the lane width so readers can tell batched runs apart.
-  const auto account_batch_lane = [&](std::size_t replica,
-                                      const RunResult& result,
-                                      std::uint64_t effective_steps,
-                                      unsigned lanes) {
-    if (telemetry) {
-      switch (result.status) {
-        case RunStatus::kCompleted: runs_completed.add(); break;
-        case RunStatus::kCapped:    runs_capped.add(); break;
-        case RunStatus::kFaulted:   runs_faulted.add(); break;
-        case RunStatus::kCancelled: runs_cancelled.add(); break;
-        case RunStatus::kDeadline:  runs_deadline.add(); break;
-      }
-      steps_hist.observe(static_cast<double>(result.steps));
-    }
-    if (metrics_out) {
-      JsonObject line;
-      line.field("type", "run")
-          .field("replica", static_cast<std::uint64_t>(replica))
-          .field("status", to_string(result.status))
-          .field("steps", result.steps)
-          .field("effective_steps", effective_steps)
-          .field("batch_lanes", static_cast<std::uint64_t>(lanes));
-      metrics_out->emit(line.str());
-    }
-  };
-
-  const MonteCarloOptions mc{.master_seed = master_seed,
-                             .num_threads = threads,
-                             .max_attempts = retries + 1,
-                             .cancel = &CancelToken::global(),
-                             .progress = telemetry ? &progress : nullptr};
 
   SupervisorOptions sup;
   sup.master_seed = master_seed;
@@ -618,10 +615,10 @@ int cmd_run(const Args& args) {
     // warns on stderr (see clamp_heartbeat_cadence).
     sup.fleet.heartbeat_interval = std::chrono::milliseconds(heartbeat_ms);
   }
-  // The estimator is armed for every supervised run: with --deadline-ms auto
-  // it drives the per-attempt deadline; either way it upgrades straggler
-  // speculation from reactive (median of this run) to predictive (learned
-  // quantile) once confident.
+  // The estimator is armed for every run: with --deadline-ms auto it drives
+  // the per-attempt deadline; either way it upgrades straggler speculation
+  // from reactive (median of this run) to predictive (learned quantile)
+  // once confident.
   EstimatorOptions est_options;
   est_options.quantile = deadline_quantile;
   est_options.safety_factor = deadline_safety;
@@ -641,11 +638,11 @@ int cmd_run(const Args& args) {
       metrics_out->emit(line.str());
     };
   }
-  // Thread-mode supervised runs dispatch lock-step groups through the batch
-  // engine: each lane keeps its retry_seed stream and its private lease
-  // token, so every payload is byte-identical to the scalar supervised_task's
-  // and deadline kills still drain one lane.  The process fleet and scalar
-  // fallbacks (retry storms, speculative twins) go through supervised_task.
+  // Thread-mode runs dispatch lock-step groups through the batch engine:
+  // each lane keeps its retry_seed stream and its private lease token, so
+  // every payload is byte-identical to run_one's and deadline kills still
+  // drain one lane.  The process fleet and scalar fallbacks (retry storms,
+  // speculative twins) go through run_one.
   if (batch_lanes > 1 && isolation == Isolation::kThread) {
     sup.batch_lanes = batch_lanes;
     sup.batch_task = [&](std::span<const BatchLane> lanes)
@@ -663,152 +660,49 @@ int cmd_run(const Args& args) {
                                                   rngs[lane]));
         cancels.push_back(lanes[lane].cancel);
       }
-      std::vector<RunResult> lane_results;
-      std::vector<std::uint64_t> lane_effective(width, 0);
+      std::vector<ReplicaRun> outs(width);
       if (jump) {
         std::vector<JumpRunResult> jump_results =
             run_batch_jump(graph, scheme, plane, rngs, options, cancels);
-        lane_results.reserve(width);
         for (unsigned lane = 0; lane < width; ++lane) {
-          lane_effective[lane] = jump_results[lane].effective_steps;
-          lane_results.push_back(std::move(jump_results[lane]));
+          outs[lane].effective_steps = jump_results[lane].effective_steps;
+          outs[lane].result = std::move(jump_results[lane]);
         }
       } else {
-        lane_results = run_batch(graph, scheme, plane, rngs, options, cancels);
+        std::vector<RunResult> step_results =
+            run_batch(graph, scheme, plane, rngs, options, cancels);
+        for (unsigned lane = 0; lane < width; ++lane) {
+          outs[lane].result = std::move(step_results[lane]);
+        }
       }
       std::vector<std::optional<std::string>> verdicts(width);
       for (unsigned lane = 0; lane < width; ++lane) {
-        account_batch_lane(lanes[lane].replica, lane_results[lane],
-                           lane_effective[lane], width);
-        if (lane_results[lane].status == RunStatus::kCancelled ||
-            lane_results[lane].status == RunStatus::kDeadline) {
-          continue;  // nullopt: the supervisor reads the lease token's reason
-        }
-        ReplicaRun out;
-        out.result = lane_results[lane];
-        out.effective_steps = lane_effective[lane];
-        verdicts[lane] = encode_replica_run(out);
+        account(lanes[lane].replica, outs[lane], nullptr, width);
+        verdicts[lane] = verdict(outs[lane]);
       }
       return verdicts;
     };
   }
-  // The supervisor's drain convention: nullopt for BOTH a deadline kill and
-  // an operator drain; it reads the lease token's CancelReason to tell them
-  // apart.  A successful attempt persists through the same codec the
-  // campaign journal uses, so supervised and plain results stay comparable.
-  const SupervisedTask supervised_task =
-      [&, isolation](std::size_t replica, Rng& rng,
-                     const CancelToken& cancel) -> std::optional<std::string> {
-    const ReplicaRun out =
-        run_one(replica, rng, cancel,
-                /*emit_telemetry=*/isolation == Isolation::kThread);
-    if (out.result.status == RunStatus::kCancelled ||
-        out.result.status == RunStatus::kDeadline) {
-      return std::nullopt;
-    }
-    return encode_replica_run(out);
-  };
 
-  std::vector<std::optional<ReplicaRun>> results(replicas);
-  BatchReport report;
-  SupervisorReport sup_report;
+  std::vector<std::optional<std::string>> payloads(replicas);
+  SupervisorReport report;
   std::vector<QuarantineRecord> quarantined;
-  std::optional<CampaignStatus> campaign_status;
-  Trace replica0_trace;
-  bool campaign_cancelled = false;
-  if (checkpoint_dir.empty() && !supervise && batch_lanes > 1) {
-    // Plain batched path: lock-step groups of batch_lanes replicas per
-    // worker claim, every slot bit-identical to the scalar isolated driver's
-    // attempt 0.  Throughput is reported amortized across lanes.
-    MonteCarloOptions batch_mc = mc;
-    batch_mc.batch_lanes = batch_lanes;
-    const BatchInit batch_init = [&](std::size_t, Rng& rng) {
-      return uniform_random_opinions(graph.num_vertices(), 1, k, rng);
-    };
-    const auto batch_start = std::chrono::steady_clock::now();
-    std::uint64_t batch_steps = 0;
-    std::uint64_t batch_effective = 0;
-    if (jump) {
-      auto batch = run_div_replicas_batched_jump(graph, scheme, replicas,
-                                                 batch_init, options, batch_mc);
-      for (std::size_t replica = 0; replica < replicas; ++replica) {
-        if (!batch.results[replica]) {
-          continue;
-        }
-        JumpRunResult& lane = *batch.results[replica];
-        account_batch_lane(replica, lane, lane.effective_steps, batch_lanes);
-        batch_steps += lane.steps;
-        batch_effective += lane.effective_steps;
-        ReplicaRun out;
-        out.effective_steps = lane.effective_steps;
-        out.result = std::move(lane);
-        results[replica] = std::move(out);
-      }
-      report = std::move(batch.report);
-    } else {
-      auto batch = run_div_replicas_batched(graph, scheme, replicas,
-                                            batch_init, options, batch_mc);
-      for (std::size_t replica = 0; replica < replicas; ++replica) {
-        if (!batch.results[replica]) {
-          continue;
-        }
-        account_batch_lane(replica, *batch.results[replica], 0, batch_lanes);
-        batch_steps += batch.results[replica]->steps;
-        ReplicaRun out;
-        out.result = std::move(*batch.results[replica]);
-        results[replica] = std::move(out);
-      }
-      report = std::move(batch.report);
-    }
-    const double batch_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      batch_start)
-            .count();
-    const std::size_t groups = (replicas + batch_lanes - 1) / batch_lanes;
-    std::cout << "batch engine: " << batch_lanes << " lanes/group, " << groups
-              << " group(s), " << batch_steps << " scheduled steps in "
-              << format_double(batch_wall, 2) << "s ("
-              << format_double(batch_wall > 0.0
-                                   ? static_cast<double>(batch_steps) /
-                                         batch_wall
-                                   : 0.0,
-                               0)
-              << " steps/s amortized across lanes)\n";
-    if (jump) {
-      std::cout << "batched jump engine: " << batch_effective
-                << " effective steps simulated across claimed lanes\n";
-    }
-  } else if (checkpoint_dir.empty() && !supervise) {
-    auto batch = run_replicas_isolated<ReplicaRun>(
-        replicas,
-        [&](std::size_t replica, Rng& rng) {
-          return run_one(replica, rng, CancelToken::global(),
-                         /*emit_telemetry=*/true);
-        },
-        mc);
-    if (!batch.results.empty() && batch.results.front()) {
-      replica0_trace = batch.results.front()->result.trace;
-    }
-    results = std::move(batch.results);
-    report = std::move(batch.report);
-  } else if (checkpoint_dir.empty()) {
+  if (checkpoint_dir.empty()) {
     std::vector<std::size_t> ids(replicas);
-    for (std::size_t replica = 0; replica < replicas; ++replica) {
-      ids[replica] = replica;
-    }
-    sup_report = run_supervised_set(
-        ids, supervised_task,
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+    report = run_supervised_set(
+        ids, run_one,
         [&](std::size_t replica, std::string&& payload) {
-          results[replica] = decode_replica_run(payload);
+          payloads[replica] = std::move(payload);
         },
         sup);
-    quarantined = sup_report.quarantined;
+    quarantined = report.quarantined;
   } else {
     // The meta fingerprint pins every knob that shapes per-replica results;
     // resuming under a different configuration is refused.  Supervision
     // knobs are deliberately NOT part of it: they decide which attempts run
     // and when, never what an attempt computes, so resuming with a longer
-    // deadline (or supervision toggled on) is a supported recovery path.
+    // deadline is a supported recovery path.
     std::ostringstream meta;
     meta << "divsim-campaign 1\ngraph=" << args.get("graph", "complete:128")
          << " k=" << k << " process=" << process_name
@@ -821,73 +715,41 @@ int cmd_run(const Args& args) {
     campaign.flush_every = checkpoint_every;
     campaign.resume = resume;
     campaign.meta = meta.str();
-    campaign.mc = mc;
     campaign.heartbeat = heartbeat.get();
     campaign.retry_quarantined = retry_quarantined;
-    if (supervise) {
-      // Persist completion-time calibration next to the journal, keyed to
-      // this exact configuration by the meta fingerprint, so a resumed
-      // campaign re-arms its learned deadline before the first replica runs
-      // instead of re-learning from scratch.  Skipped when the stored meta
-      // conflicts: the campaign layer is about to refuse the directory, and
-      // a mis-invoked resume must not cost the real campaign its learned
-      // samples (CalibrationLog restarts a mismatched log).
-      std::filesystem::create_directories(checkpoint_dir);
-      const std::string meta_path = checkpoint_dir + "/campaign.meta";
-      const bool meta_conflict = std::filesystem::exists(meta_path) &&
-                                 read_file(meta_path) != campaign.meta;
-      if (!meta_conflict) {
-        calibration = std::make_unique<CalibrationLog>(
-            checkpoint_dir, crc32_of(campaign.meta));
-        const std::size_t warmed = calibration->warm(estimator);
-        CalibrationLog* const calib = calibration.get();
-        estimator.set_observer(
-            [calib](double wall_seconds) { calib->append(wall_seconds); });
-        if (warmed > 0) {
-          std::cout << "calibration: " << warmed
-                    << " completion sample(s) recovered from "
-                    << calibration->path() << "\n";
-        }
+    // Persist completion-time calibration next to the journal, keyed to
+    // this exact configuration by the meta fingerprint, so a resumed
+    // campaign re-arms its learned deadline before the first replica runs
+    // instead of re-learning from scratch.  Skipped when the stored meta
+    // conflicts: the campaign layer is about to refuse the directory, and
+    // a mis-invoked resume must not cost the real campaign its learned
+    // samples (CalibrationLog restarts a mismatched log).
+    std::filesystem::create_directories(checkpoint_dir);
+    const std::string meta_path = checkpoint_dir + "/campaign.meta";
+    const bool meta_conflict = std::filesystem::exists(meta_path) &&
+                               read_file(meta_path) != campaign.meta;
+    if (!meta_conflict) {
+      calibration = std::make_unique<CalibrationLog>(
+          checkpoint_dir, crc32_of(campaign.meta));
+      const std::size_t warmed = calibration->warm(estimator);
+      CalibrationLog* const calib = calibration.get();
+      estimator.set_observer(
+          [calib](double wall_seconds) { calib->append(wall_seconds); });
+      if (warmed > 0) {
+        std::cout << "calibration: " << warmed
+                  << " completion sample(s) recovered from "
+                  << calibration->path() << "\n";
       }
-      const SupervisedCampaignResult outcome =
-          run_supervised_campaign(replicas, supervised_task, campaign, sup);
-      for (std::size_t replica = 0; replica < replicas; ++replica) {
-        if (outcome.payloads[replica]) {
-          results[replica] = decode_replica_run(*outcome.payloads[replica]);
-        }
-      }
-      sup_report = outcome.report;
-      quarantined = outcome.quarantined;
-      campaign_status = outcome.status;
-      campaign_cancelled = outcome.status == CampaignStatus::kCancelled;
-      std::cout << "campaign: " << checkpoint_dir << " -- " << outcome.resumed
-                << " resumed from journal, " << outcome.ran
-                << " run this session, " << quarantined.size()
-                << " quarantined, status " << to_string(outcome.status)
-                << "\n";
-    } else {
-      const CampaignResult outcome = run_campaign(
-          replicas,
-          [&](std::size_t replica, Rng& rng) -> std::optional<std::string> {
-            const ReplicaRun out = run_one(replica, rng, CancelToken::global(),
-                                           /*emit_telemetry=*/true);
-            if (out.result.status == RunStatus::kCancelled) {
-              return std::nullopt;  // unfinished: re-runs on resume
-            }
-            return encode_replica_run(out);
-          },
-          campaign);
-      for (std::size_t replica = 0; replica < replicas; ++replica) {
-        if (outcome.payloads[replica]) {
-          results[replica] = decode_replica_run(*outcome.payloads[replica]);
-        }
-      }
-      report = outcome.report;
-      campaign_cancelled = outcome.cancelled;
-      std::cout << "campaign: " << checkpoint_dir << " -- " << outcome.resumed
-                << " resumed from journal, " << outcome.ran
-                << " run this session\n";
     }
+    SupervisedCampaignResult outcome =
+        run_supervised_campaign(replicas, run_one, campaign, sup);
+    payloads = std::move(outcome.payloads);
+    report = std::move(outcome.report);
+    quarantined = std::move(outcome.quarantined);
+    std::cout << "campaign: " << checkpoint_dir << " -- " << outcome.resumed
+              << " resumed from journal, " << outcome.ran
+              << " run this session, " << quarantined.size()
+              << " quarantined, status " << to_string(outcome.status) << "\n";
   }
 
   if (heartbeat) {
@@ -906,34 +768,27 @@ int cmd_run(const Args& args) {
     instruments.push_back('}');
     JsonObject line;
     line.field("type", "summary")
-        .field("replicas", static_cast<std::uint64_t>(replicas));
-    if (supervise) {
-      line.field("succeeded", static_cast<std::uint64_t>(sup_report.succeeded))
-          .field("retries", sup_report.retries)
-          .field("quarantined", static_cast<std::uint64_t>(quarantined.size()))
-          .field("fail_fasts", sup_report.fail_fasts)
-          .field("deadline_kills", sup_report.deadline_kills)
-          .field("speculative_launches", sup_report.speculative_launches)
-          .field("speculative_wins", sup_report.speculative_wins)
-          .field("deadline_adapts", sup_report.deadline_adapts)
-          .field("learned_deadline_ms", sup_report.learned_deadline_ms)
-          .field("breaker_opens", sup_report.breaker_opens)
-          .field("breaker_closes", sup_report.breaker_closes)
-          .field("isolation", to_string(isolation))
-          .field("worker_spawns", sup_report.worker_spawns)
-          .field("worker_suspects", sup_report.worker_suspects)
-          .field("worker_deaths", sup_report.worker_deaths)
-          .field("worker_dismissals", sup_report.worker_dismissals)
-          .field("batch_groups", sup_report.batch_groups)
-          .field("batched_attempts", sup_report.batched_attempts)
-          .field("cancelled", sup_report.cancelled);
-    } else {
-      line.field("attempted", static_cast<std::uint64_t>(report.attempted))
-          .field("retries", report.retries)
-          .field("errors", static_cast<std::uint64_t>(report.errors.size()))
-          .field("cancelled", report.cancelled);
-    }
-    line.raw_field("instruments", instruments);
+        .field("replicas", static_cast<std::uint64_t>(replicas))
+        .field("succeeded", static_cast<std::uint64_t>(report.succeeded))
+        .field("retries", report.retries)
+        .field("quarantined", static_cast<std::uint64_t>(quarantined.size()))
+        .field("fail_fasts", report.fail_fasts)
+        .field("deadline_kills", report.deadline_kills)
+        .field("speculative_launches", report.speculative_launches)
+        .field("speculative_wins", report.speculative_wins)
+        .field("deadline_adapts", report.deadline_adapts)
+        .field("learned_deadline_ms", report.learned_deadline_ms)
+        .field("breaker_opens", report.breaker_opens)
+        .field("breaker_closes", report.breaker_closes)
+        .field("isolation", to_string(isolation))
+        .field("worker_spawns", report.worker_spawns)
+        .field("worker_suspects", report.worker_suspects)
+        .field("worker_deaths", report.worker_deaths)
+        .field("worker_dismissals", report.worker_dismissals)
+        .field("batch_groups", report.batch_groups)
+        .field("batched_attempts", report.batched_attempts)
+        .field("cancelled", report.cancelled)
+        .raw_field("instruments", instruments);
     metrics_out->emit(line.str());
     metrics_out->sync();
     std::cout << "metrics: " << metrics_out->path() << " ("
@@ -947,11 +802,11 @@ int cmd_run(const Args& args) {
   std::uint64_t completed = 0;
   std::uint64_t cancelled = 0;
   ReplicaRun totals;
-  for (const auto& slot : results) {
-    if (!slot) {
-      continue;  // reported below via the batch report / resume hint
+  for (const auto& payload : payloads) {
+    if (!payload) {
+      continue;  // quarantined or unfinished: reported below
     }
-    const ReplicaRun& replica_run = *slot;
+    const ReplicaRun replica_run = decode_replica_run(*payload);
     totals.effective_steps += replica_run.effective_steps;
     totals.dropped += replica_run.dropped;
     totals.rollbacks += replica_run.rollbacks;
@@ -966,8 +821,8 @@ int cmd_run(const Args& args) {
         continue;
       case RunStatus::kCancelled:
       case RunStatus::kDeadline:
-        // Deadline-killed attempts return nullopt, so kDeadline never lands
-        // in a payload; the case guards against hand-edited journals.
+        // Drained attempts return nullopt, so neither status lands in a
+        // payload; the case guards against hand-edited journals.
         ++cancelled;
         continue;
       case RunStatus::kCompleted:
@@ -1009,73 +864,59 @@ int cmd_run(const Args& args) {
     }
     std::cout << "\n";
   }
-  if (supervise) {
-    std::cout << "supervision: " << sup_report.retries << " retries, "
-              << sup_report.fail_fasts << " fail-fasts, "
-              << sup_report.deadline_kills << " deadline kills, "
-              << sup_report.speculative_launches << " speculative launches ("
-              << sup_report.speculative_wins << " won), "
-              << quarantined.size() << " quarantined\n";
-    if (deadline_auto) {
-      const EstimatorSnapshot snap = estimator.stats();
-      std::cout << "adaptive deadline: ";
-      if (snap.confident) {
-        // Ask the estimator, not the session report: a resume that ran zero
-        // replicas still warmed a confident estimator worth reporting.
-        const auto armed =
-            estimator.deadline(std::chrono::milliseconds(deadline_ms));
-        std::cout << "learned " << armed.count() << "ms (q"
-                  << format_double(deadline_quantile, 2) << " = "
-                  << format_double(snap.quantile_seconds, 3) << "s x safety "
-                  << format_double(deadline_safety, 1) << ", " << snap.samples
-                  << " samples, " << sup_report.deadline_adapts
-                  << " adapt event(s))\n";
+  std::cout << "supervision: " << report.retries << " retries, "
+            << report.fail_fasts << " fail-fasts, " << report.deadline_kills
+            << " deadline kills, " << report.speculative_launches
+            << " speculative launches (" << report.speculative_wins
+            << " won), " << quarantined.size() << " quarantined\n";
+  if (deadline_auto) {
+    const EstimatorSnapshot snap = estimator.stats();
+    std::cout << "adaptive deadline: ";
+    if (snap.confident) {
+      // Ask the estimator, not the session report: a resume that ran zero
+      // replicas still warmed a confident estimator worth reporting.
+      const auto armed =
+          estimator.deadline(std::chrono::milliseconds(deadline_ms));
+      std::cout << "learned " << armed.count() << "ms (q"
+                << format_double(deadline_quantile, 2) << " = "
+                << format_double(snap.quantile_seconds, 3) << "s x safety "
+                << format_double(deadline_safety, 1) << ", " << snap.samples
+                << " samples, " << report.deadline_adapts
+                << " adapt event(s))\n";
+    } else {
+      std::cout << "confidence gate closed (" << snap.samples << "/"
+                << deadline_min_samples << " samples); fallback ";
+      if (deadline_ms > 0) {
+        std::cout << deadline_ms << "ms";
       } else {
-        std::cout << "confidence gate closed (" << snap.samples << "/"
-                  << deadline_min_samples << " samples); fallback ";
-        if (deadline_ms > 0) {
-          std::cout << deadline_ms << "ms";
-        } else {
-          std::cout << "none";
-        }
-        std::cout << " held\n";
+        std::cout << "none";
       }
-    }
-    if (sup_report.breaker_opens > 0) {
-      std::cout << "backpressure: breaker opened " << sup_report.breaker_opens
-                << " time(s), closed " << sup_report.breaker_closes
-                << " time(s)\n";
-    }
-    if (isolation == Isolation::kProcess) {
-      std::cout << "fleet: " << sup_report.worker_spawns << " worker(s) forked, "
-                << sup_report.worker_suspects << " suspect transition(s), "
-                << sup_report.worker_deaths << " death(s), "
-                << sup_report.worker_dismissals
-                << " breaker dismissal(s)\n";
-    }
-    if (sup_report.batch_groups > 0) {
-      std::cout << "lock-step batching: " << sup_report.batch_groups
-                << " group(s), " << sup_report.batched_attempts
-                << " attempt(s) batched (avg "
-                << format_double(
-                       static_cast<double>(sup_report.batched_attempts) /
-                           static_cast<double>(sup_report.batch_groups),
-                       1)
-                << " lanes/group)\n";
-    }
-    for (const QuarantineRecord& record : quarantined) {
-      std::cout << "  quarantined replica " << record.replica << " ("
-                << to_string(record.failure) << ", " << record.attempts
-                << " attempt(s)): " << record.message << "\n";
+      std::cout << " held\n";
     }
   }
-  if (!report.ok()) {
-    std::cout << "replica errors (" << report.errors.size() << ", after "
-              << report.retries << " retries):\n";
-    for (const ReplicaError& error : report.errors) {
-      std::cout << "  replica " << error.replica << " failed " << error.attempts
-                << " attempt(s): " << error.message << "\n";
-    }
+  if (report.breaker_opens > 0) {
+    std::cout << "backpressure: breaker opened " << report.breaker_opens
+              << " time(s), closed " << report.breaker_closes << " time(s)\n";
+  }
+  if (isolation == Isolation::kProcess) {
+    std::cout << "fleet: " << report.worker_spawns << " worker(s) forked, "
+              << report.worker_suspects << " suspect transition(s), "
+              << report.worker_deaths << " death(s), "
+              << report.worker_dismissals << " breaker dismissal(s)\n";
+  }
+  if (report.batch_groups > 0) {
+    std::cout << "lock-step batching: " << report.batch_groups
+              << " group(s), " << report.batched_attempts
+              << " attempt(s) batched (avg "
+              << format_double(static_cast<double>(report.batched_attempts) /
+                                   static_cast<double>(report.batch_groups),
+                               1)
+              << " lanes/group)\n";
+  }
+  for (const QuarantineRecord& record : quarantined) {
+    std::cout << "  quarantined replica " << record.replica << " ("
+              << to_string(record.failure) << ", " << record.attempts
+              << " attempt(s)): " << record.message << "\n";
   }
   if (trace_stride > 0 && !replica0_trace.empty()) {
     std::cout << "trace of replica 0 (step, range, S):\n";
@@ -1084,7 +925,7 @@ int cmd_run(const Args& args) {
                 << sample.max_active << "]  " << sample.sum << "\n";
     }
   }
-  if (campaign_cancelled || CancelToken::global().requested()) {
+  if (CancelToken::global().requested()) {
     if (!checkpoint_dir.empty()) {
       std::cout << "interrupted; finished replicas are journaled -- resume "
                    "with: --checkpoint-dir "
@@ -1095,27 +936,21 @@ int cmd_run(const Args& args) {
     }
     return 130;  // 128 + SIGINT, the conventional interrupted-exit status
   }
-  if (supervise) {
-    if (quarantined.empty()) {
-      return 0;
-    }
-    // Degraded (quorum met) exits 5 so scripts can tell a usable-but-partial
-    // sweep from the hard failure 3.
-    const bool degraded =
-        campaign_status ? *campaign_status == CampaignStatus::kDegraded
-                        : sup_report.success_fraction() >= min_success;
-    std::cout << (degraded ? "degraded" : "failed") << ": "
-              << quarantined.size() << " replica(s) quarantined, success "
-              << format_double(
-                     campaign_status
-                         ? 1.0 - static_cast<double>(quarantined.size()) /
-                                     static_cast<double>(replicas)
-                         : sup_report.success_fraction(),
-                     3)
-              << " vs --min-success " << format_double(min_success, 3) << "\n";
-    return degraded ? 5 : 3;
+  if (quarantined.empty()) {
+    return 0;
   }
-  return report.ok() ? 0 : 3;
+  // Degraded (quorum met) exits 5 so scripts can tell a usable-but-partial
+  // sweep from the hard failure 3.  The fraction counts journaled work from
+  // earlier sessions too, as the campaign's grade does.
+  const double success =
+      replicas == 0 ? 1.0
+                    : static_cast<double>(replicas - quarantined.size()) /
+                          static_cast<double>(replicas);
+  const bool degraded = success >= min_success;
+  std::cout << (degraded ? "degraded" : "failed") << ": " << quarantined.size()
+            << " replica(s) quarantined, success " << format_double(success, 3)
+            << " vs --min-success " << format_double(min_success, 3) << "\n";
+  return degraded ? 5 : 3;
 }
 
 int cmd_journal(const Args& args) {
@@ -1295,13 +1130,12 @@ std::vector<std::string> split_config_tokens(const std::string& config) {
 
 // Runs one leased campaign by re-entering cmd_run against the campaign's
 // own checkpoint directory, and maps the exit code back onto the queue's
-// terminal phases.  --supervise is forced so quarantines grade the campaign
+// terminal phases: quarantines grade the campaign (degraded exits 5)
 // instead of failing it outright.
 CampaignPhase run_queue_campaign(const CampaignEntry& campaign,
                                  const std::string& checkpoint_dir) {
   std::vector<std::string> tokens = split_config_tokens(campaign.config);
   tokens.push_back("--checkpoint-dir=" + checkpoint_dir);
-  tokens.push_back("--supervise");
   if (std::filesystem::exists(std::filesystem::path(checkpoint_dir) /
                               "results.journal")) {
     tokens.push_back("--resume");  // a prior lease already made progress
