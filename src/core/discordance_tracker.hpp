@@ -12,17 +12,21 @@
 //                  -> weight(v) = disc(v),      active prob = total/2m
 //
 // and in both schemes the observed neighbor is uniform among v's discordant
-// neighbors.  Two internal representations back the same API:
+// neighbors.  The representation follows the conditional law, not the
+// scheme's name:
 //
-//   * vertex scheme: a Fenwick-backed DynamicWeightedSampler over
-//     disc(v)/d(v) -- the weights are genuinely non-uniform, so sampling is
-//     O(log n) and maintenance O(d(v) log n) per move.
-//   * edge scheme: the conditional law is *uniform* over ordered discordant
-//     pairs, so a swap-remove array of discordant edge ids suffices --
-//     sampling is one uniform draw plus a coin flip and maintenance is O(1)
-//     integer work per changed relation, with no floating point anywhere.
-//     This is what makes the jump engine ~an order of magnitude faster than
-//     the naive loop at large n instead of merely breaking even.
+//   * uniform pairs (edge scheme, and vertex scheme on a d-regular graph,
+//     where 1/(n d(v)) = 1/2m -- the paper's Remark 1): every ordered
+//     discordant pair is equally likely, so a swap-remove array of
+//     discordant edge ids suffices -- sampling is one uniform draw and
+//     maintenance is O(1) integer work per changed relation, with no
+//     floating point anywhere.  This is what makes the jump engine ~an
+//     order of magnitude faster than the naive loop at large n instead of
+//     merely breaking even.
+//   * degree-weighted pairs (vertex scheme on an irregular graph only): a
+//     Fenwick-backed DynamicWeightedSampler over disc(v)/d(v) -- the weights
+//     are genuinely non-uniform, so sampling is O(log n) and maintenance
+//     O(d(v) log n) per move.
 //
 // The tracker must see every mutation of the state: call apply_move()
 // immediately after each state mutation with the pre-move opinion, or the
@@ -40,13 +44,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "core/opinion_state.hpp"
 #include "core/selection.hpp"
-#include "rng/alias_table.hpp"
 #include "rng/dynamic_weighted_sampler.hpp"
 
 namespace divlib {
@@ -56,22 +58,25 @@ class BasicDiscordanceTracker {
  public:
   // Builds the counts in O(n + m log d).  The state must outlive the tracker.
   BasicDiscordanceTracker(const State& state, SelectionScheme scheme)
-      : state_(&state), scheme_(scheme) {
+      : state_(&state),
+        scheme_(scheme),
+        uniform_pairs_(scheme == SelectionScheme::kEdge ||
+                       state.graph().is_regular()) {
     const Graph& graph = state.graph();
     validate_for_selection(graph, scheme);
     const VertexId n = graph.num_vertices();
-    if (scheme_ == SelectionScheme::kVertex) {
+    if (!uniform_pairs_) {
       disc_.assign(n, 0);
       rebuild_counts();
       rebuilds_ = 0;  // the constructor's initial build is not a resync
       return;
     }
 
-    // Edge scheme: index every adjacency slot with its edge id so apply_move
-    // can flip an edge's membership in O(1) while scanning v's row.  These
-    // arrays depend only on the topology; the state-dependent parts live in
-    // rebuild_counts() so the hybrid engine can resynchronize a stale tracker
-    // without paying this O(m log d) build again.
+    // Uniform pairs: index every adjacency slot with its edge id so
+    // apply_move can flip an edge's membership in O(1) while scanning v's
+    // row.  These arrays depend only on the topology; the state-dependent
+    // parts live in rebuild_counts() so the hybrid engine can resynchronize a
+    // stale tracker without paying this O(m log d) build again.
     const auto edges = graph.edges();
     offsets_.assign(n + 1, 0);
     for (VertexId v = 0; v < n; ++v) {
@@ -99,13 +104,19 @@ class BasicDiscordanceTracker {
     rebuilds_ = 0;  // the constructor's initial build is not a resync
   }
 
+  // The scheme the tracker was built for, whichever representation serves
+  // it.
   SelectionScheme scheme() const { return scheme_; }
+  // True when every ordered discordant pair is equally likely per scheduled
+  // step (edge scheme, or vertex scheme on a regular graph), so the tracker
+  // runs on the discordant-edge array; false selects the Fenwick sampler.
+  bool uniform_pairs() const { return uniform_pairs_; }
 
-  // disc(v).  O(1) for the vertex scheme (maintained); O(d(v)) for the edge
-  // scheme, which never needs per-vertex counts in its hot path and
-  // recomputes them on demand instead.
+  // disc(v).  O(1) for degree-weighted pairs (maintained); O(d(v)) for
+  // uniform pairs, which never need per-vertex counts in their hot path and
+  // recompute them on demand instead.
   std::uint32_t discordance(VertexId v) const {
-    if (scheme_ == SelectionScheme::kVertex) {
+    if (!uniform_pairs_) {
       return disc_[v];
     }
     const Opinion own = state_->opinion(v);
@@ -124,12 +135,14 @@ class BasicDiscordanceTracker {
   // Probability that one scheduled step of the underlying selection scheme
   // draws a discordant pair (the jump chain's success probability).
   double active_probability() const {
-    if (scheme_ == SelectionScheme::kVertex) {
+    if (!uniform_pairs_) {
       // (1/n) sum_v disc(v)/d(v)
       return sampler_.total_weight() /
              static_cast<double>(state_->num_vertices());
     }
-    // Each of the 2m ordered pairs is equally likely per scheduled step.
+    // Each of the 2m ordered pairs is equally likely per scheduled step
+    // (on a d-regular graph 1/(n d) = 1/2m, so this covers the vertex
+    // scheme there too).
     return static_cast<double>(total_pairs_) /
            static_cast<double>(state_->graph().total_degree());
   }
@@ -142,7 +155,7 @@ class BasicDiscordanceTracker {
           "DiscordanceTracker: no discordant pairs to sample");
     }
     SelectedPair pair;
-    if (scheme_ == SelectionScheme::kEdge) {
+    if (uniform_pairs_) {
       // Uniform over the 2|discordant_| ordered discordant pairs: one draw
       // picks the edge (high bits) and the direction (low bit).
       const std::uint64_t draw = rng.uniform_below(
@@ -152,21 +165,7 @@ class BasicDiscordanceTracker {
       pair.observed = (draw & 1) ? edge.u : edge.v;
       return pair;
     }
-    if (alias_fresh_) {
-      // O(1) frozen-weight path: one uniform column plus one uniform01
-      // instead of the Fenwick descent.  Same law over updaters, different
-      // rng consumption (see freeze_alias below).
-      pair.updater = static_cast<VertexId>(alias_.sample(rng));
-      if (disc_[pair.updater] == 0) {
-        // Numerically impossible unless the table outlived a weight change
-        // the invalidation hooks somehow missed; fail loudly rather than
-        // draw uniform_below(0) below.
-        throw std::logic_error(
-            "DiscordanceTracker: alias table sampled a concordant vertex");
-      }
-    } else {
-      pair.updater = static_cast<VertexId>(sampler_.sample(rng));
-    }
+    pair.updater = static_cast<VertexId>(sampler_.sample(rng));
     const Opinion own = state_->opinion(pair.updater);
     // Uniform among the disc(v) discordant neighbors: pick a rank, then scan.
     std::uint32_t rank =
@@ -183,111 +182,6 @@ class BasicDiscordanceTracker {
     throw std::logic_error("DiscordanceTracker: counts are stale");
   }
 
-  // Bulk variant for batched callers: out[i] is drawn with rngs[i] and is
-  // bit-identical to sample_discordant_pair(*rngs[i]) called alone -- each
-  // lane's stream stays independent and consumes draws in the same order --
-  // while the shared lookups (the edge scheme's compact pair array, the
-  // vertex scheme's updater structure and row prefetches) are hoisted and
-  // pipelined across the batch.  rngs.size() must equal out.size();
-  // requires !frozen().
-  void sample_discordant_pairs(std::span<Rng* const> rngs,
-                               std::span<SelectedPair> out) const {
-    if (rngs.size() != out.size()) {
-      throw std::invalid_argument(
-          "DiscordanceTracker::sample_discordant_pairs: rngs/out size "
-          "mismatch");
-    }
-    if (frozen()) {
-      throw std::logic_error(
-          "DiscordanceTracker: no discordant pairs to sample");
-    }
-    if (scheme_ == SelectionScheme::kEdge) {
-      // One draw per lane against the shared compact pair array; hoisting
-      // the bound and base pointer out of the loop is the whole batch win
-      // here -- the per-lane work is already O(1).
-      const std::uint64_t bound =
-          2 * static_cast<std::uint64_t>(discordant_.size());
-      const Edge* pairs = discordant_uv_.data();
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        const std::uint64_t draw = rngs[i]->uniform_below(bound);
-        const Edge& edge = pairs[draw >> 1];
-        out[i].updater = (draw & 1) ? edge.v : edge.u;
-        out[i].observed = (draw & 1) ? edge.u : edge.v;
-      }
-      return;
-    }
-    // Vertex scheme, two passes.  Each lane's own stream still sees (updater
-    // draw, then rank draw) in that order -- the streams are private, so
-    // issuing every lane's first draw before any lane's second is
-    // bit-identical to interleaving them -- but splitting lets the neighbor
-    // rows the rank scans will walk get prefetched while other lanes'
-    // updater draws are still in flight.
-    const Graph& graph = state_->graph();
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (alias_fresh_) {
-        out[i].updater = static_cast<VertexId>(alias_.sample(*rngs[i]));
-        if (disc_[out[i].updater] == 0) {
-          throw std::logic_error(
-              "DiscordanceTracker: alias table sampled a concordant vertex");
-        }
-      } else {
-        out[i].updater = static_cast<VertexId>(sampler_.sample(*rngs[i]));
-      }
-      __builtin_prefetch(graph.neighbors(out[i].updater).data(), 0);
-    }
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const VertexId updater = out[i].updater;
-      const Opinion own = state_->opinion(updater);
-      std::uint32_t rank =
-          static_cast<std::uint32_t>(rngs[i]->uniform_below(disc_[updater]));
-      bool resolved = false;
-      for (const VertexId w : graph.neighbors(updater)) {
-        if (state_->opinion(w) != own) {
-          if (rank == 0) {
-            out[i].observed = w;
-            resolved = true;
-            break;
-          }
-          --rank;
-        }
-      }
-      if (!resolved) {
-        throw std::logic_error("DiscordanceTracker: counts are stale");
-      }
-    }
-  }
-
-  // O(1) static-weight sampling for the vertex scheme: freezes the CURRENT
-  // disc(v)/d(v) weights into a Walker/Vose alias table (O(n) build); while
-  // the table is fresh, sample_discordant_pair picks the updater through it
-  // (one uniform column + one uniform01) instead of the O(log n) Fenwick
-  // descent.  Any apply_move() or rebuild_counts() invalidates the table --
-  // the weights moved -- and sampling falls back to the Fenwick sampler
-  // until the next freeze, so correctness never depends on the caller
-  // re-freezing.  The alias path draws the SAME law but consumes the rng
-  // DIFFERENTLY than the Fenwick descent: opt in at a run/segment boundary,
-  // not mid-stream, when bit-compatibility with unfrozen runs matters.
-  // No-op for the edge scheme (its swap-remove array is already O(1)).
-  // Requires !frozen() (an all-zero weight vector has no table).
-  void freeze_alias() {
-    if (scheme_ != SelectionScheme::kVertex) {
-      return;  // edge-scheme sampling is already O(1); nothing to freeze
-    }
-    if (frozen()) {
-      throw std::logic_error(
-          "DiscordanceTracker::freeze_alias: no discordant pairs (all "
-          "weights zero)");
-    }
-    const VertexId n = state_->num_vertices();
-    std::vector<double> weights(n, 0.0);
-    for (VertexId v = 0; v < n; ++v) {
-      weights[v] = weight_of(v);
-    }
-    alias_ = AliasTable(weights);
-    alias_fresh_ = true;
-  }
-  bool alias_frozen() const { return alias_fresh_; }
-
   // Call right after the state's set(v, new_value) with v's pre-move
   // opinion.  Updates disc(v), disc(u) for u in N(v), and the sampling
   // structure.
@@ -296,9 +190,8 @@ class BasicDiscordanceTracker {
     if (after == before) {
       return;
     }
-    alias_fresh_ = false;  // the frozen weights no longer match
     const Graph& graph = state_->graph();
-    if (scheme_ == SelectionScheme::kEdge) {
+    if (uniform_pairs_) {
       const auto row = graph.neighbors(v);
       const std::uint64_t base = offsets_[v];
       if (!mirror_.empty()) {
@@ -381,10 +274,9 @@ class BasicDiscordanceTracker {
   // mode.
   void rebuild_counts() {
     ++rebuilds_;
-    alias_fresh_ = false;  // the frozen weights no longer match
     const Graph& graph = state_->graph();
     const VertexId n = graph.num_vertices();
-    if (scheme_ == SelectionScheme::kVertex) {
+    if (!uniform_pairs_) {
       total_pairs_ = 0;
       std::vector<double> weights(n, 0.0);
       for (VertexId v = 0; v < n; ++v) {
@@ -442,12 +334,10 @@ class BasicDiscordanceTracker {
  private:
   static constexpr std::uint32_t kNotDiscordant = 0xffffffffu;
 
+  // The Fenwick sampler's weight of v: disc(v)/d(v).
   double weight_of(VertexId v) const {
-    if (scheme_ == SelectionScheme::kVertex) {
-      return static_cast<double>(disc_[v]) /
-             static_cast<double>(state_->graph().degree(v));
-    }
-    return static_cast<double>(disc_[v]);
+    return static_cast<double>(disc_[v]) /
+           static_cast<double>(state_->graph().degree(v));
   }
 
   void add_discordant_edge(std::uint32_t edge_id, VertexId u, VertexId w) {
@@ -469,18 +359,16 @@ class BasicDiscordanceTracker {
 
   const State* state_;
   SelectionScheme scheme_;
-  std::vector<std::uint32_t> disc_;
+  bool uniform_pairs_;
   std::uint64_t total_pairs_ = 0;
   std::uint64_t rebuilds_ = 0;
 
-  // Vertex scheme only.  The Fenwick sampler is the always-valid dynamic
-  // path; the alias table is a frozen O(1) snapshot of the same weights,
-  // valid only while alias_fresh_ (no moves since freeze_alias()).
+  // Degree-weighted pairs only: disc(v) and the Fenwick sampler over
+  // disc(v)/d(v).
+  std::vector<std::uint32_t> disc_;
   DynamicWeightedSampler sampler_;
-  AliasTable alias_;
-  bool alias_fresh_ = false;
 
-  // Edge scheme only: CSR offsets mirroring Graph's adjacency layout, the
+  // Uniform pairs only: CSR offsets mirroring Graph's adjacency layout, the
   // edge id stored at each adjacency slot, the current discordant edge ids,
   // and each edge's position in that array (kNotDiscordant when absent).
   // discordant_uv_ carries the endpoints of discordant_[i] so sampling reads

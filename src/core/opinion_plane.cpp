@@ -82,7 +82,6 @@ void OpinionPlane::assign_lane(unsigned lane,
   }
   state.assigned = true;
   state.derived_fresh = true;
-  discordance_built_ = false;  // a reassigned lane invalidates the plane
 }
 
 std::vector<Opinion> OpinionPlane::lane_opinions(unsigned lane) const {
@@ -153,44 +152,6 @@ double OpinionPlane::z_total(unsigned lane) const {
   return static_cast<double>(n_) *
          (static_cast<double>(lanes_[lane].degree_weighted_sum) /
           static_cast<double>(graph_->total_degree()));
-}
-
-void OpinionPlane::rebuild_discordance() {
-  const unsigned lanes = num_lanes();
-  for (const Lane& state : lanes_) {
-    if (!state.assigned) {
-      throw std::logic_error(
-          "OpinionPlane::rebuild_discordance: unassigned lane");
-    }
-  }
-  disc_.assign(static_cast<std::size_t>(n_) * lanes, 0);
-  disc_pairs_.assign(lanes, 0);
-  // One topology walk serves every lane: the edge's endpoint ids are loaded
-  // once, then compared lane by lane.  The disc writes for a vertex land in
-  // `lanes` CONSECUTIVE slots (transposed layout), so the write traffic per
-  // edge is two cache-line-local bursts instead of 2 * lanes scattered
-  // stores.  Discordance is an equality test, which the packing shift
-  // preserves, so the walk runs directly on the raw cells.
-  const auto walk = [&](const auto* cells) {
-    for (const Edge& edge : graph_->edges()) {
-      std::uint32_t* disc_u = &disc_[static_cast<std::size_t>(edge.u) * lanes];
-      std::uint32_t* disc_v = &disc_[static_cast<std::size_t>(edge.v) * lanes];
-      for (unsigned lane = 0; lane < lanes; ++lane) {
-        const std::size_t offset = static_cast<std::size_t>(lane) * n_;
-        if (cells[offset + edge.u] != cells[offset + edge.v]) {
-          ++disc_u[lane];
-          ++disc_v[lane];
-          disc_pairs_[lane] += 2;
-        }
-      }
-    }
-  };
-  if (wide_) {
-    walk(values32_.data());
-  } else {
-    walk(values8_.data());
-  }
-  discordance_built_ = true;
 }
 
 }  // namespace divlib

@@ -31,18 +31,6 @@
 // same calls.  That equivalence is the foundation of the batch engine's
 // lane-determinism contract.  (Derived aggregates are refreshed lazily on
 // read -- see refresh_derived_ -- because none of them feed the stop rule.)
-//
-// The plane also carries a TRANSPOSED discordance-count plane,
-//
-//   disc[v * lanes + lane],
-//
-// rebuilt on demand by ONE walk over the edge list that serves every lane at
-// once (each edge's endpoints are fetched once and compared across all lanes,
-// writing `lanes` contiguous counters) -- the batched analogue of
-// DiscordanceTracker::rebuild_counts().  It is a resync/analysis structure,
-// not hot-loop state: the batch engine rebuilds it at freeze points and
-// telemetry samples, and tests check that it agrees with per-lane scalar
-// trackers at rebuild_counts() resync points.
 #pragma once
 
 #include <algorithm>
@@ -299,24 +287,6 @@ class OpinionPlane {
   std::uint64_t degree_mass(unsigned lane, Opinion value) const;
   // n * sum_v pi_v X_v, as OpinionState::z_total().
   double z_total(unsigned lane) const;
-
-  // --- transposed discordance plane ---
-  // Rebuilds disc[v * lanes + lane] for every lane with one pass over the
-  // edge list: each edge's endpoint ids are read once and compared in all
-  // lanes (the per-row memory traffic is amortized across the batch).
-  // O(m * lanes) compares; call at resync/freeze points, not per step.
-  void rebuild_discordance();
-  bool discordance_built() const { return discordance_built_; }
-  // disc(v) in one lane; requires a prior rebuild_discordance() and counts
-  // only moves applied BEFORE that rebuild.
-  std::uint32_t discordance(unsigned lane, VertexId v) const {
-    return disc_[static_cast<std::size_t>(v) * num_lanes() + lane];
-  }
-  // sum_v disc(v) for one lane = ordered discordant pairs, as
-  // DiscordanceTracker::total_discordant_pairs().
-  std::uint64_t discordant_pairs(unsigned lane) const {
-    return disc_pairs_[lane];
-  }
 
  private:
   struct Lane {
@@ -770,10 +740,6 @@ class OpinionPlane {
   std::vector<Opinion> values32_;
   bool wide_ = false;
   mutable std::vector<Lane> lanes_;
-  // Transposed: disc_[v * lanes + lane]; empty until rebuild_discordance().
-  std::vector<std::uint32_t> disc_;
-  std::vector<std::uint64_t> disc_pairs_;  // per lane
-  bool discordance_built_ = false;
 };
 
 // A single lane of an OpinionPlane presented through the read-only state

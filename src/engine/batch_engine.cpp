@@ -360,6 +360,7 @@ struct JumpLaneCtx {
   unsigned lane;
   PlaneLaneView view;
   BasicDiscordanceTracker<PlaneLaneView> tracker;
+  GeometricSkip skip;
   Rng* rng;
   const CancelToken* token;
   bool jump_mode = true;   // the scalar loop also starts in jump mode
@@ -561,7 +562,7 @@ std::vector<JumpRunResult> run_batch_jump(
           continue;
         }
         const std::uint64_t skipped =
-            ctx.rng->geometric(ctx.tracker.active_probability());
+            ctx.skip.draw(*ctx.rng, ctx.tracker.active_probability());
         if (skipped >= max_steps - clock) {
           // Watchdog: the next effective step falls beyond the budget.
           finalize_ctx(ctx, RunStatus::kCapped, max_steps);
@@ -737,13 +738,8 @@ std::vector<JumpRunResult> run_batch_jump(
           continue;
         }
         ctx.armed = false;
-        // The effective step, routed through the batched sampler primitive
-        // (a one-lane span): same draws, same conditional law as the scalar
-        // tracker.sample_discordant_pair(rng).
-        Rng* rng_ptr = ctx.rng;
-        SelectedPair pair;
-        ctx.tracker.sample_discordant_pairs(
-            std::span<Rng* const>(&rng_ptr, 1), std::span<SelectedPair>(&pair, 1));
+        // The effective step: the same draws as the scalar loop's.
+        const SelectedPair pair = ctx.tracker.sample_discordant_pair(*ctx.rng);
         const Opinion own = plane.opinion(ctx.lane, pair.updater);
         plane.set(ctx.lane, pair.updater,
                   DivProcess::updated_opinion(

@@ -75,6 +75,7 @@ void run_jump_loop(Process& process, OpinionState& state, Rng& rng,
   // instead of after a naive window.  Dense starts pay one effective step
   // and then drop to naive mode via the active-probability check.
   DiscordanceTracker tracker(state, scheme);
+  GeometricSkip skip;
   bool jump_mode = true;
   std::uint64_t window_steps = 0;
   std::uint64_t window_effective = 0;
@@ -122,7 +123,7 @@ void run_jump_loop(Process& process, OpinionState& state, Rng& rng,
         break;
       }
       const std::uint64_t skipped =
-          rng.geometric(tracker.active_probability());
+          skip.draw(rng, tracker.active_probability());
       if (skipped >= options.max_steps - result.steps) {
         // The next effective step falls beyond the budget: the watchdog
         // fires mid-lazy-stretch, with the state unchanged.

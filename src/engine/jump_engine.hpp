@@ -39,9 +39,13 @@ namespace divlib {
 
 // Mode-switch thresholds, from measurements on a random 16-regular graph at
 // n = 2^17 (DESIGN.md, "Jump-chain engine"): a naive scheduled step costs
-// ~25 ns while a jump-mode effective step costs ~0.5 us (the geometric draw
-// plus O(d) tracker maintenance with cache-cold neighbor rows), so the jump
-// chain only wins when fewer than ~1 in 20 scheduled steps changes state.
+// ~25 ns while a jump-mode effective step costs ~0.5-0.6 us in either
+// scheme (the geometric draw, one O(1) draw from the discordant-edge array,
+// and O(d) maintenance with cache-cold neighbor rows), so the jump chain
+// only wins when fewer than ~1 in 20 scheduled steps changes state.  The
+// vertex scheme on an irregular graph pays the Fenwick sampler's
+// O(d log n) on top (about twice the step cost at d = 16) under the same
+// thresholds.
 // The hysteresis band [1/64, 1/16] straddles that break-even so a trajectory
 // hovering near it does not thrash the O(n + m) rebuild_counts() resync.
 // Shared by the scalar hybrid loop and run_batch_jump, whose per-lane mode

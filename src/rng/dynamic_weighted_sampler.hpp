@@ -1,14 +1,15 @@
 // Fenwick-tree-backed dynamic discrete distribution: O(log n) weight updates
-// and O(log n) sampling, where the static AliasTable would need a full O(n)
+// and O(log n) sampling, where a static alias table would need a full O(n)
 // rebuild per change.
 //
-// This is the sampling backbone of the jump-chain engine: the per-vertex
-// discordance weights change on every effective step (a vertex move touches
-// the weights of v and its neighbors), so the distribution must be mutable
-// in place.  Weights are doubles; the tree stores partial sums which are
-// updated by exact deltas and rebuilt from the stored weights every
-// kRebuildInterval updates to keep floating-point drift bounded over
-// billion-step runs.
+// The jump-chain engine samples through it for the vertex scheme on an
+// irregular graph, the one case whose conditional law is not uniform over
+// discordant pairs: the per-vertex weights disc(v)/d(v) change on every
+// effective step (a vertex move touches the weights of v and its
+// neighbors), so the distribution must be mutable in place.  Weights are
+// doubles; the tree stores partial sums which are updated by exact deltas
+// and rebuilt from the stored weights every kRebuildInterval updates to keep
+// floating-point drift bounded over billion-step runs.
 #pragma once
 
 #include <cstddef>

@@ -49,15 +49,23 @@ bool Rng::bernoulli(double p) {
 }
 
 std::uint64_t Rng::geometric(double p) {
+  return GeometricSkip().draw(*this, p);
+}
+
+std::uint64_t GeometricSkip::draw(Rng& rng, double p) {
   if (!(p > 0.0)) {
     throw std::invalid_argument("Rng::geometric: p must be > 0");
   }
   if (p >= 1.0) {
     return 0;
   }
+  if (p != p_) {
+    p_ = p;
+    log1m_p_ = std::log1p(-p);
+  }
   constexpr std::uint64_t kCap = 1ULL << 62;
   // uniform01() < 1, so log1p(-u) is finite and <= 0; log1p(-p) < 0.
-  const double value = std::floor(std::log1p(-uniform01()) / std::log1p(-p));
+  const double value = std::floor(std::log1p(-rng.uniform01()) / log1m_p_);
   if (!(value < static_cast<double>(kCap))) {
     return kCap;
   }

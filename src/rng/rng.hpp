@@ -91,9 +91,10 @@ class Rng {
 
   // Number of failures before the first success of independent Bernoulli(p)
   // trials (support {0, 1, 2, ...}).  One uniform draw via inversion:
-  // floor(log(1-u)/log(1-p)).  p >= 1 returns 0; p <= 0 or NaN throws
-  // std::invalid_argument.  Results are capped at 2^62 so callers comparing
-  // against a step budget never see overflow.
+  // floor(log(1-u)/log(1-p)).  p >= 1 returns 0 without a draw; p <= 0 or
+  // NaN throws std::invalid_argument.  Results are capped at 2^62 so callers
+  // comparing against a step budget never see overflow.  A caller drawing
+  // repeatedly with a p that rarely changes should hold a GeometricSkip.
   std::uint64_t geometric(double p);
 
   // Standard normal via Marsaglia polar method.
@@ -144,6 +145,19 @@ class Rng {
   // Cached second normal deviate from the polar method.
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
+};
+
+// Rng::geometric(p) for a caller whose p often repeats from one draw to the
+// next (the jump engines' active probability, which most moves leave
+// unchanged): log1p(-p) is computed once per distinct p and reused.  Draw for
+// draw identical to Rng::geometric(p), which is implemented on it.
+class GeometricSkip {
+ public:
+  std::uint64_t draw(Rng& rng, double p);
+
+ private:
+  double p_ = 0.0;  // p of the cached log; 0 = none yet (a draw needs p > 0)
+  double log1m_p_ = 0.0;  // log1p(-p_)
 };
 
 }  // namespace divlib

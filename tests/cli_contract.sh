@@ -88,15 +88,18 @@ summary() {
   grep -E '^(completed |jump engine:|winners:)' "${WORK}/out"
 }
 
-# Same seed, same summary, whatever executes it.
-for engine in step jump; do
-  reference="$(summary --engine "${engine}" --threads 1)"
+# Same seed, same summary, whatever executes it.  The jump engine runs both
+# schemes: on this regular graph the vertex scheme samples from the same
+# discordant-edge array as the edge scheme.
+for engine in "step" "jump --scheme edge" "jump --scheme vertex"; do
+  # shellcheck disable=SC2086
+  reference="$(summary --engine ${engine} --threads 1)"
   if [[ -z "${reference}" ]]; then
     fail "--engine ${engine} printed no summary"
   fi
   for variant in "--threads 4" "--batch-lanes 4" "--batch-lanes 4 --threads 4"; do
     # shellcheck disable=SC2086
-    got="$(summary --engine "${engine}" ${variant})"
+    got="$(summary --engine ${engine} ${variant})"
     if [[ "${got}" != "${reference}" ]]; then
       fail "--engine ${engine} ${variant} summary differs from --threads 1:"
       diff <(echo "${reference}") <(echo "${got}") >&2

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/cancel.hpp"
-#include "core/discordance_tracker.hpp"
 #include "core/div_process.hpp"
 #include "core/opinion_plane.hpp"
 #include "engine/engine.hpp"
@@ -363,175 +362,6 @@ TEST(BatchEngine, WinnerDistributionMatchesScalarEngine) {
     EXPECT_LT(d, critical) << "completion-time ECDFs diverge, scheme "
                            << to_string(scheme);
   }
-}
-
-// The transposed discordance plane agrees with per-lane scalar trackers at a
-// resync point, for both schemes, after an arbitrary mirrored move history.
-TEST(OpinionPlaneTest, RebuildDiscordanceMatchesScalarTrackers) {
-  Rng graph_rng(0x88);
-  const Graph graph = make_connected_random_regular(40, 4, graph_rng);
-  constexpr unsigned kLanes = 5;
-
-  for (const SelectionScheme scheme :
-       {SelectionScheme::kVertex, SelectionScheme::kEdge}) {
-    OpinionPlane plane(graph, kLanes);
-    std::vector<OpinionState> states;
-    states.reserve(kLanes);
-    Rng init_rng(0x404);
-    for (unsigned lane = 0; lane < kLanes; ++lane) {
-      const std::vector<Opinion> opinions =
-          uniform_random_opinions(graph.num_vertices(), 1, 6, init_rng);
-      plane.assign_lane(lane, opinions);
-      states.emplace_back(graph, opinions);
-    }
-    std::vector<DiscordanceTracker> trackers;
-    trackers.reserve(kLanes);
-    for (unsigned lane = 0; lane < kLanes; ++lane) {
-      trackers.emplace_back(states[lane], scheme);
-    }
-
-    // Mirror a random move history into both representations.
-    Rng move_rng(0x505);
-    for (int move = 0; move < 300; ++move) {
-      const unsigned lane =
-          static_cast<unsigned>(move_rng.uniform_below(kLanes));
-      const VertexId v = static_cast<VertexId>(
-          move_rng.uniform_below(graph.num_vertices()));
-      const Opinion value =
-          static_cast<Opinion>(1 + move_rng.uniform_below(6));
-      const Opinion before = states[lane].opinion(v);
-      states[lane].set(v, value);
-      trackers[lane].apply_move(v, before);
-      plane.set(lane, v, value);
-    }
-
-    plane.rebuild_discordance();
-    ASSERT_TRUE(plane.discordance_built());
-    for (unsigned lane = 0; lane < kLanes; ++lane) {
-      EXPECT_EQ(plane.discordant_pairs(lane),
-                trackers[lane].total_discordant_pairs())
-          << to_string(scheme) << " lane " << lane;
-      for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-        ASSERT_EQ(plane.discordance(lane, v), trackers[lane].discordance(v))
-            << to_string(scheme) << " lane " << lane << " vertex " << v;
-      }
-    }
-  }
-}
-
-// Bulk sampling is draw-for-draw identical to solo sampling: each lane's rng
-// sees (updater, rank) / (pair draw) in its own order, and the streams end
-// in the same position.
-TEST(DiscordanceTrackerBulk, MatchesScalarSamples) {
-  Rng graph_rng(0x91);
-  const Graph graph = make_connected_random_regular(36, 4, graph_rng);
-  Rng init_rng(0x92);
-  const std::vector<Opinion> opinions =
-      uniform_random_opinions(graph.num_vertices(), 1, 5, init_rng);
-  constexpr std::size_t kLanes = 6;
-
-  for (const SelectionScheme scheme :
-       {SelectionScheme::kVertex, SelectionScheme::kEdge}) {
-    OpinionState state(graph, opinions);
-    DiscordanceTracker tracker(state, scheme);
-    ASSERT_FALSE(tracker.frozen());
-
-    std::vector<Rng> solo;
-    std::vector<Rng> bulk;
-    std::vector<Rng*> bulk_ptrs;
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      solo.emplace_back(Rng::retry_seed(0xf00d, lane, 0));
-      bulk.emplace_back(Rng::retry_seed(0xf00d, lane, 0));
-    }
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      bulk_ptrs.push_back(&bulk[lane]);
-    }
-
-    for (int round = 0; round < 20; ++round) {
-      std::vector<SelectedPair> expected(kLanes);
-      for (std::size_t lane = 0; lane < kLanes; ++lane) {
-        expected[lane] = tracker.sample_discordant_pair(solo[lane]);
-      }
-      std::vector<SelectedPair> got(kLanes);
-      tracker.sample_discordant_pairs(bulk_ptrs, got);
-      for (std::size_t lane = 0; lane < kLanes; ++lane) {
-        EXPECT_EQ(expected[lane].updater, got[lane].updater)
-            << to_string(scheme) << " round " << round << " lane " << lane;
-        EXPECT_EQ(expected[lane].observed, got[lane].observed)
-            << to_string(scheme) << " round " << round << " lane " << lane;
-      }
-    }
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      EXPECT_EQ(solo[lane].next(), bulk[lane].next()) << to_string(scheme);
-    }
-  }
-}
-
-TEST(DiscordanceTrackerBulk, RejectsSizeMismatch) {
-  const Graph graph = make_cycle(6);
-  OpinionState state(graph, {1, 2, 1, 2, 1, 2});
-  DiscordanceTracker tracker(state, SelectionScheme::kEdge);
-  Rng rng(1);
-  Rng* rngs[1] = {&rng};
-  std::vector<SelectedPair> out(2);
-  EXPECT_THROW(tracker.sample_discordant_pairs(rngs, out),
-               std::invalid_argument);
-}
-
-// The frozen alias table samples the same conditional law: updaters are
-// always discordant, observeds always disagree with them, and the empirical
-// updater marginal matches disc(v)/d(v) (chi-square).  Any move invalidates
-// the freeze; the edge scheme's freeze is a documented no-op.
-TEST(DiscordanceTrackerAlias, FrozenSamplingMatchesWeights) {
-  Rng graph_rng(0xa1);
-  const Graph graph = make_connected_random_regular(24, 4, graph_rng);
-  Rng init_rng(0xa2);
-  OpinionState state(
-      graph, uniform_random_opinions(graph.num_vertices(), 1, 3, init_rng));
-  DiscordanceTracker tracker(state, SelectionScheme::kVertex);
-  ASSERT_FALSE(tracker.frozen());
-  EXPECT_FALSE(tracker.alias_frozen());
-
-  tracker.freeze_alias();
-  ASSERT_TRUE(tracker.alias_frozen());
-
-  constexpr int kSamples = 20000;
-  std::vector<std::uint64_t> counts(graph.num_vertices(), 0);
-  Rng rng(0xa3);
-  for (int i = 0; i < kSamples; ++i) {
-    const SelectedPair pair = tracker.sample_discordant_pair(rng);
-    ASSERT_GT(tracker.discordance(pair.updater), 0u);
-    ASSERT_NE(state.opinion(pair.updater), state.opinion(pair.observed));
-    ++counts[pair.updater];
-  }
-  std::vector<double> expected(graph.num_vertices(), 0.0);
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    expected[v] = static_cast<double>(tracker.discordance(v)) /
-                  static_cast<double>(graph.degree(v));
-  }
-  const ChiSquareResult chi = chi_square_test(counts, expected);
-  EXPECT_GT(chi.p_value, 1e-3);
-
-  // A move invalidates the table; sampling falls back to the Fenwick path.
-  const VertexId mover = 0;
-  const Opinion before = state.opinion(mover);
-  const Opinion moved = before == 1 ? 2 : 1;
-  state.set(mover, moved);
-  tracker.apply_move(mover, before);
-  EXPECT_FALSE(tracker.alias_frozen());
-  const SelectedPair after = tracker.sample_discordant_pair(rng);
-  EXPECT_NE(state.opinion(after.updater), state.opinion(after.observed));
-
-  // rebuild_counts also invalidates.
-  tracker.freeze_alias();
-  ASSERT_TRUE(tracker.alias_frozen());
-  tracker.rebuild_counts();
-  EXPECT_FALSE(tracker.alias_frozen());
-
-  // Edge scheme: freeze is a no-op (already O(1)).
-  DiscordanceTracker edge_tracker(state, SelectionScheme::kEdge);
-  edge_tracker.freeze_alias();
-  EXPECT_FALSE(edge_tracker.alias_frozen());
 }
 
 // Every field a lane result carries, as one comparable string.

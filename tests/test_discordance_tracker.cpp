@@ -48,26 +48,85 @@ TEST(DiscordanceTracker, InitialCountsMatchBruteForce) {
   EXPECT_EQ(tracker.total_discordant_pairs(), total);
 }
 
+// Both representations, both schemes: the vertex scheme runs on the
+// discordant-edge array on the regular graph and on the Fenwick sampler on
+// the irregular one.
 TEST(DiscordanceTracker, CountsStayExactThroughRandomMoves) {
   Rng rng(2);
-  const Graph graph = make_connected_random_regular(32, 4, rng);
-  OpinionState state(graph, uniform_random_opinions(32, 1, 5, rng));
-  DiscordanceTracker tracker(state, SelectionScheme::kVertex);
-  DivProcess process(graph, SelectionScheme::kVertex);
-  for (int step = 0; step < 5000; ++step) {
-    const SelectedPair pair = select_pair(graph, process.scheme(), rng);
-    const Opinion own = state.opinion(pair.updater);
-    state.set(pair.updater, DivProcess::updated_opinion(
-                                own, state.opinion(pair.observed)));
-    tracker.apply_move(pair.updater, own);
+  const Graph regular = make_connected_random_regular(32, 4, rng);
+  const Graph irregular = make_complete_bipartite(5, 9);
+  for (const Graph* graph : {&regular, &irregular}) {
+    for (const SelectionScheme scheme :
+         {SelectionScheme::kVertex, SelectionScheme::kEdge}) {
+      const VertexId n = graph->num_vertices();
+      OpinionState state(*graph, uniform_random_opinions(n, 1, 5, rng));
+      DiscordanceTracker tracker(state, scheme);
+      EXPECT_EQ(tracker.scheme(), scheme);
+      EXPECT_EQ(tracker.uniform_pairs(),
+                scheme == SelectionScheme::kEdge || graph == &regular);
+      for (int step = 0; step < 5000; ++step) {
+        const SelectedPair pair = select_pair(*graph, scheme, rng);
+        const Opinion own = state.opinion(pair.updater);
+        state.set(pair.updater, DivProcess::updated_opinion(
+                                    own, state.opinion(pair.observed)));
+        tracker.apply_move(pair.updater, own);
+      }
+      const auto fresh = tracker.recomputed_counts();
+      std::uint64_t total = 0;
+      for (VertexId v = 0; v < n; ++v) {
+        ASSERT_EQ(tracker.discordance(v), fresh[v])
+            << to_string(scheme) << " n=" << n << " vertex " << v;
+        total += fresh[v];
+      }
+      EXPECT_EQ(tracker.total_discordant_pairs(), total)
+          << to_string(scheme) << " n=" << n;
+      EXPECT_NEAR(tracker.active_probability(),
+                  brute_force_active_probability(state, scheme), 1e-12)
+          << to_string(scheme) << " n=" << n;
+    }
   }
-  const auto fresh = tracker.recomputed_counts();
-  std::uint64_t total = 0;
-  for (VertexId v = 0; v < 32; ++v) {
-    ASSERT_EQ(tracker.discordance(v), fresh[v]) << "vertex " << v;
-    total += fresh[v];
+}
+
+// On a d-regular graph 1/(n d(v)) = 1/2m, so the vertex scheme's tracker
+// runs on the edge scheme's representation: from equal seeds the two draw
+// the same pairs and report the same activity, move for move.
+TEST(DiscordanceTracker, RegularVertexSchemeMatchesEdgeScheme) {
+  Rng graph_rng(7);
+  const Graph cycle = make_cycle(64);
+  const Graph regular = make_connected_random_regular(512, 4, graph_rng);
+  for (const Graph* graph : {&cycle, &regular}) {
+    Rng init_rng(8);
+    const std::vector<Opinion> start =
+        uniform_random_opinions(graph->num_vertices(), 1, 6, init_rng);
+    OpinionState vertex_state(*graph, start);
+    OpinionState edge_state(*graph, start);
+    DiscordanceTracker vertex(vertex_state, SelectionScheme::kVertex);
+    DiscordanceTracker edge(edge_state, SelectionScheme::kEdge);
+    EXPECT_EQ(vertex.scheme(), SelectionScheme::kVertex);
+    EXPECT_TRUE(vertex.uniform_pairs());
+    Rng vertex_rng(9);
+    Rng edge_rng(9);
+    int moves = 0;
+    for (; moves < 1000 && !vertex.frozen(); ++moves) {
+      ASSERT_EQ(vertex.active_probability(), edge.active_probability())
+          << "move " << moves;
+      ASSERT_EQ(vertex.total_discordant_pairs(),
+                edge.total_discordant_pairs());
+      const SelectedPair a = vertex.sample_discordant_pair(vertex_rng);
+      const SelectedPair b = edge.sample_discordant_pair(edge_rng);
+      ASSERT_EQ(a.updater, b.updater) << "move " << moves;
+      ASSERT_EQ(a.observed, b.observed) << "move " << moves;
+      const Opinion own = vertex_state.opinion(a.updater);
+      const Opinion next =
+          DivProcess::updated_opinion(own, vertex_state.opinion(a.observed));
+      vertex_state.set(a.updater, next);
+      edge_state.set(a.updater, next);
+      vertex.apply_move(a.updater, own);
+      edge.apply_move(a.updater, own);
+    }
+    EXPECT_EQ(moves, 1000);
+    EXPECT_EQ(vertex_rng.next(), edge_rng.next());
   }
-  EXPECT_EQ(tracker.total_discordant_pairs(), total);
 }
 
 TEST(DiscordanceTracker, ActiveProbabilityMatchesBruteForceBothSchemes) {

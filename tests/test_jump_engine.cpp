@@ -266,6 +266,9 @@ TEST(JumpEngine, WinnerDistributionMatchesExactChainOnSmallGraphs) {
   std::vector<Case> cases;
   cases.push_back({"path4/edge", make_path(4), {0, 2, 1, 0},
                    SelectionScheme::kEdge});
+  // Irregular, so the vertex scheme samples through the Fenwick tracker.
+  cases.push_back({"path4/vertex", make_path(4), {0, 2, 1, 0},
+                   SelectionScheme::kVertex});
   cases.push_back({"cycle4/vertex", make_cycle(4), {0, 1, 2, 1},
                    SelectionScheme::kVertex});
   cases.push_back({"K4/edge", make_complete(4), {0, 1, 2, 2},

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 namespace divlib {
@@ -200,6 +201,46 @@ TEST(Rng, RetrySeedsDependOnMasterReplicaAndAttempt) {
   EXPECT_NE(Rng::retry_seed(1, 0, 1), Rng::retry_seed(2, 0, 1));
   EXPECT_NE(Rng::retry_seed(1, 0, 1), Rng::retry_seed(1, 1, 1));
   EXPECT_NE(Rng::retry_seed(1, 0, 1), Rng::retry_seed(1, 0, 2));
+}
+
+// GeometricSkip reuses log1p(-p) while p repeats; it must still match the
+// inversion formula draw for draw: one uniform01() per p < 1, none for
+// p >= 1 or an invalid p, and the 2^62 cap.  The reference draws from a twin
+// stream, so both streams must also end at the same position.
+TEST(Rng, GeometricSkipMatchesGeometricDrawForDraw) {
+  constexpr std::uint64_t kCap = 1ULL << 62;
+  const std::vector<double> ps = {
+      0.5,  0.5,     0.5,   1e-3,   1e-3,    1.0,  1.0,  0.25, 2.0,
+      0.25, 1e-300,  1e-300, 0.999, 1.0 / 416, 1.0 / 416, 1.0 / 416,
+      1e-9, 4.9e-324, 0.5};
+  Rng skipped(31);
+  Rng plain(31);
+  Rng reference(31);
+  GeometricSkip skip;
+  int capped = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (const double p : ps) {
+      std::uint64_t expected = 0;
+      if (p < 1.0) {
+        const double value =
+            std::floor(std::log1p(-reference.uniform01()) / std::log1p(-p));
+        expected = value < static_cast<double>(kCap)
+                       ? static_cast<std::uint64_t>(value)
+                       : kCap;
+      }
+      capped += expected == kCap;
+      ASSERT_EQ(skip.draw(skipped, p), expected) << "p=" << p;
+      ASSERT_EQ(plain.geometric(p), expected) << "p=" << p;
+    }
+  }
+  EXPECT_GT(capped, 0);
+  for (const double bad : {0.0, -0.5, std::nan("")}) {
+    EXPECT_THROW(skip.draw(skipped, bad), std::invalid_argument);
+    EXPECT_THROW(plain.geometric(bad), std::invalid_argument);
+  }
+  const std::uint64_t position = reference.next();
+  EXPECT_EQ(skipped.next(), position);
+  EXPECT_EQ(plain.next(), position);
 }
 
 TEST(Rng, SubstreamsLookUniform) {
